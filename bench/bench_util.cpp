@@ -218,11 +218,14 @@ std::string host_metadata_json() {
   s += ", \"cpu\": " + json_quote(info.name);
   s += ", \"cores\": " + std::to_string(info.logical_cores);
   // Dot-product capability stamp: per-host baselines must distinguish
-  // machines whose int8 rows ran UDOT/SDOT from emulation-only hosts.
+  // machines whose int8 rows ran SDOT / VPDPBUSD from emulation-only
+  // hosts.
   s += ", \"asimddp\": ";
   s += info.asimddp ? "true" : "false";
   s += ", \"i8mm\": ";
   s += info.i8mm ? "true" : "false";
+  s += ", \"vnni\": ";
+  s += info.vnni ? "true" : "false";
   s += ", \"alpha\": " + std::string(alpha_buf);
   s += ", \"git_sha\": " + json_quote(NDIRECT_GIT_SHA);
   s += ", \"compiler\": " + json_quote(NDIRECT_COMPILER_ID);

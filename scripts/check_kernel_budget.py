@@ -6,10 +6,13 @@ careless change (a new policy axis, an accidental O(grid^2) fold, an
 instantiation that defeats the per-S translation-unit split) shows up
 first as compile time. This script fails CI when either
 
-  1. any microkernel_policies_s*.cpp takes longer than --max-seconds to
-     compile stand-alone (each TU holds one kernel width's ~56
-     instantiations; the budget is several times the measured ~15 s so
-     only real blow-ups trip it), or
+  1. any policy TU — the fp32 microkernel_policies_s*.cpp (one kernel
+     width's ~56 instantiations each) or the int8
+     quantized_policies_{a,b}.cpp (two widths x both strides x every
+     compiled backend; the dot rung doubles them on +dotprod and VNNI
+     targets) — takes longer than --max-seconds to compile stand-alone
+     (the budget is several times the measured ~15 s so only real
+     blow-ups trip it), or
   2. the built registry shrinks below --min-entries kernel entries or
      --min-blocks runtime (vw, vk) blocks — i.e. a refactor silently
      dropped specializations and convs would fall back to the generic
@@ -60,7 +63,8 @@ def main():
     src = os.path.abspath(args.source)
     build = os.path.abspath(args.build)
     tus = sorted(
-        glob.glob(os.path.join(src, "src/core/microkernel_policies_s*.cpp")))
+        glob.glob(os.path.join(src, "src/core/microkernel_policies_s*.cpp"))
+        + glob.glob(os.path.join(src, "src/core/quantized_policies_*.cpp")))
     if not tus:
         print("check_kernel_budget: no policy TUs found under", src)
         return 1

@@ -2,7 +2,6 @@
 // micro-kernels, with the PTn x PTk thread grid of Section 6.
 #include <atomic>
 #include <cassert>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -45,27 +44,6 @@ struct NdirectConv::FilterCache {
   std::vector<std::unique_ptr<Entry>> entries;
 };
 
-namespace {
-
-/// Content fingerprint validating warm filter-cache hits: the element
-/// count mixed with up to 64 values sampled evenly across the tensor
-/// (a few cache lines per call — noise next to the convolution). A
-/// stale hit slips through only if the replacement tensor matches size
-/// and every sampled bit pattern; invalidate_filter_cache() remains the
-/// authoritative API, the fingerprint is the safety net.
-std::uint64_t filter_fingerprint(const float* data, std::size_t n) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ull ^ n;
-  const std::size_t samples = n < 64 ? n : 64;
-  for (std::size_t i = 0; i < samples; ++i) {
-    const std::size_t idx = samples > 1 ? i * (n - 1) / (samples - 1) : 0;
-    std::uint32_t bits;
-    std::memcpy(&bits, data + idx, sizeof(bits));
-    h = (h ^ bits) * 0x100000001b3ull;
-  }
-  return h;
-}
-
-}  // namespace
 namespace {
 
 /// Per-layout addressing used by the shared loop nest.
@@ -710,7 +688,8 @@ const float* NdirectConv::prepare_filter(const float* filter) const {
   FilterCache& fc = *fcache_;
   const ConvParams& p = params_;
   const std::uint64_t fp = filter_fingerprint(
-      filter, static_cast<std::size_t>(p.K) * p.C * p.R * p.S);
+      filter,
+      sizeof(float) * static_cast<std::size_t>(p.K) * p.C * p.R * p.S);
   // Warm path: one acquire load, no lock. The release publish below
   // orders the entry's packed contents before it becoming visible; the
   // fingerprint check rejects stale hits instead of serving stale

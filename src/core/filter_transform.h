@@ -7,6 +7,7 @@
 // micro-kernels start consuming it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace ndirect {
@@ -24,5 +25,15 @@ void transform_filter_tile(const float* filter, int K, int C, int R, int S,
 /// cache eliminates per-call transforms: the count must not move across
 /// steady-state inference calls.
 std::uint64_t transform_filter_tile_calls();
+
+/// Content fingerprint validating warm packed-filter cache hits (the
+/// fp32 NdirectConv cache and the int8 Int8Conv cache): the byte count
+/// mixed with up to 64 eight-byte words sampled evenly across the
+/// buffer (a few cache lines per call — noise next to the convolution).
+/// A stale hit slips through only if the replacement buffer matches
+/// size and every sampled word; explicit invalidation remains the
+/// authoritative API, the fingerprint is the safety net against a freed
+/// filter whose address the allocator reuses, or in-place mutation.
+std::uint64_t filter_fingerprint(const void* data, std::size_t bytes);
 
 }  // namespace ndirect

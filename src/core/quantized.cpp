@@ -8,6 +8,7 @@
 #include <limits>
 
 #include "core/fai.h"
+#include "core/filter_transform.h"
 #include "runtime/aligned_buffer.h"
 #include "runtime/scratch.h"
 #include "simd/vec128.h"
@@ -241,12 +242,117 @@ std::int32_t choose_qmax_int8(std::int64_t reduction_len) {
   return q;
 }
 
+namespace {
+
+// Activation quantization runs before every quantized conv, so it is
+// chunked across the conv's pool and vectorized. Both passes must
+// reproduce the scalar definition bit for bit:
+//   lo = std::min(lo, x), hi = std::max(hi, x)        (range pass)
+//   u  = clamp(int32(lrintf(x * inv)) + zp, 0, 255)    (quantize pass)
+
+/// Floats per chunk: big enough that a pool dispatch is noise next to
+/// the chunk's memory traffic, small enough that a 56x56x256 activation
+/// still spreads over every worker.
+constexpr std::size_t kQuantChunk = std::size_t{1} << 15;
+
+void minmax_chunk(const float* x, std::size_t n, float& lo, float& hi) {
+  std::size_t i = 0;
+#if defined(NDIRECT_SIMD_SSE)
+  // _mm_min_ps(a, b) is (a < b) ? a : b, so with the element first it
+  // is exactly std::min(lo, x) = (x < lo) ? x : lo: a NaN element and a
+  // -0.0f against +0.0f both leave the accumulator alone. Likewise
+  // _mm_max_ps(x, hi) = (x > hi) ? x : hi = std::max(hi, x). Neither
+  // NaN nor -0.0f can therefore enter a lane, which makes the lane and
+  // chunk combination order irrelevant.
+  __m128 vlo0 = _mm_set1_ps(lo), vlo1 = vlo0;
+  __m128 vhi0 = _mm_set1_ps(hi), vhi1 = vhi0;
+  for (; i + 8 <= n; i += 8) {
+    const __m128 a = _mm_loadu_ps(x + i);
+    const __m128 b = _mm_loadu_ps(x + i + 4);
+    vlo0 = _mm_min_ps(a, vlo0);
+    vlo1 = _mm_min_ps(b, vlo1);
+    vhi0 = _mm_max_ps(a, vhi0);
+    vhi1 = _mm_max_ps(b, vhi1);
+  }
+  float l[4], h[4];
+  _mm_storeu_ps(l, _mm_min_ps(vlo0, vlo1));
+  _mm_storeu_ps(h, _mm_max_ps(vhi0, vhi1));
+  for (int j = 0; j < 4; ++j) {
+    lo = std::min(lo, l[j]);
+    hi = std::max(hi, h[j]);
+  }
+#endif
+  for (; i < n; ++i) {
+    lo = std::min(lo, x[i]);
+    hi = std::max(hi, x[i]);
+  }
+}
+
+void quantize_chunk(const float* x, std::size_t n, float inv, int zp,
+                    std::uint8_t* out) {
+  std::size_t i = 0;
+#if defined(NDIRECT_SIMD_SSE)
+  // CVTPS2DQ rounds like lrintf (current mode, round-to-nearest-even by
+  // default) wherever |t| < 2^31. NaN and +-inf — the only other values
+  // x * inv can take, since |x| <= range and inv = 255 / range — make
+  // x86-64 lrintf return LONG_MIN, whose int32 narrowing is 0: the mask
+  // reproduces that. PACKSSDW + PACKUSWB saturate monotonically, which
+  // is exactly clamp(v, 0, 255).
+  const __m128 vinv = _mm_set1_ps(inv);
+  const __m128 limit = _mm_set1_ps(2147483648.0f);
+  const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
+  const __m128i vzp = _mm_set1_epi32(zp);
+  auto lanes = [&](const float* p) {
+    const __m128 t = _mm_mul_ps(_mm_loadu_ps(p), vinv);
+    const __m128 ok = _mm_cmplt_ps(_mm_and_ps(t, abs_mask), limit);
+    return _mm_add_epi32(
+        _mm_and_si128(_mm_cvtps_epi32(t), _mm_castps_si128(ok)), vzp);
+  };
+  for (; i + 16 <= n; i += 16) {
+    const __m128i w01 = _mm_packs_epi32(lanes(x + i), lanes(x + i + 4));
+    const __m128i w23 =
+        _mm_packs_epi32(lanes(x + i + 8), lanes(x + i + 12));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
+                     _mm_packus_epi16(w01, w23));
+  }
+#endif
+  for (; i < n; ++i) {
+    const std::int32_t v =
+        static_cast<std::int32_t>(std::lrintf(x[i] * inv)) + zp;
+    out[i] = static_cast<std::uint8_t>(std::clamp<std::int32_t>(v, 0, 255));
+  }
+}
+
+/// Run fn(begin, end) over [0, n) in kQuantChunk pieces on `pool`
+/// (inline when one chunk covers it).
+template <typename Fn>
+void for_each_chunk(ThreadPool* pool, std::size_t n, Fn&& fn) {
+  const std::size_t chunks = (n + kQuantChunk - 1) / kQuantChunk;
+  if (chunks <= 1) {
+    fn(std::size_t{0}, n);
+    return;
+  }
+  ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::global();
+  tp.run(chunks, [&](std::size_t c) {
+    fn(c * kQuantChunk, std::min(n, (c + 1) * kQuantChunk));
+  });
+}
+
+}  // namespace
+
 QuantizedActivation quantize_activation_u8(const float* data,
-                                           std::size_t n) {
+                                           std::size_t n,
+                                           ThreadPool* pool) {
+  const std::size_t chunks = (n + kQuantChunk - 1) / kQuantChunk;
+  std::vector<float> chunk_lo(chunks, 0.0f), chunk_hi(chunks, 0.0f);
+  for_each_chunk(pool, n, [&](std::size_t b, std::size_t e) {
+    const std::size_t c = b / kQuantChunk;
+    minmax_chunk(data + b, e - b, chunk_lo[c], chunk_hi[c]);
+  });
   float lo = 0.0f, hi = 0.0f;  // range includes 0 (exact padding)
-  for (std::size_t i = 0; i < n; ++i) {
-    lo = std::min(lo, data[i]);
-    hi = std::max(hi, data[i]);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    lo = std::min(lo, chunk_lo[c]);
+    hi = std::max(hi, chunk_hi[c]);
   }
   QuantizedActivation q;
   const float range = hi - lo;
@@ -255,13 +361,9 @@ QuantizedActivation quantize_activation_u8(const float* data,
   q.zero_point = std::clamp<std::int32_t>(
       static_cast<std::int32_t>(std::lrintf(-lo * inv)), 0, 255);
   q.values.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int32_t v =
-        static_cast<std::int32_t>(std::lrintf(data[i] * inv)) +
-        q.zero_point;
-    q.values[i] =
-        static_cast<std::uint8_t>(std::clamp<std::int32_t>(v, 0, 255));
-  }
+  for_each_chunk(pool, n, [&](std::size_t b, std::size_t e) {
+    quantize_chunk(data + b, e - b, inv, q.zero_point, q.values.data() + b);
+  });
   return q;
 }
 
@@ -296,6 +398,7 @@ QuantizedFilterI8 quantize_filter_i8(const float* filter,
 /// 4) plus per-k filter-tap sums (the zero-point compensation base).
 struct Int8Conv::PackedFilter {
   const std::int8_t* key = nullptr;
+  std::uint64_t fp = 0;  ///< filter_fingerprint of the source at pack time
   AlignedBuffer<std::int8_t> data;
   std::vector<std::int32_t> rowsum;  ///< K: sum of filter k's s8 taps
   explicit PackedFilter(std::size_t bytes) : data(bytes) {}
@@ -318,7 +421,7 @@ I8ExecShape i8_exec_shape(const ConvParams& p) {
   return {p.H, p.W, p.P(), p.Q()};
 }
 
-std::shared_ptr<const Int8Conv::PackedFilter> i8_pack_filter(
+std::shared_ptr<Int8Conv::PackedFilter> i8_pack_filter(
     const std::int8_t* filter, const ConvParams& p, int vk);
 
 /// Pack one input window: [c4][R][rowbytes] with every byte XORed with
@@ -410,7 +513,7 @@ void i8_store_tile(const Int8Epilogue& ep, const Int8Output& out,
   }
 }
 
-std::shared_ptr<const Int8Conv::PackedFilter> i8_pack_filter(
+std::shared_ptr<Int8Conv::PackedFilter> i8_pack_filter(
     const std::int8_t* filter, const ConvParams& p, int vk) {
   const std::int64_t c4 = (p.C + 3) / 4;
   const std::int64_t kb_count = (p.K + vk - 1) / vk;
@@ -458,9 +561,17 @@ Int8Backend Int8Conv::backend() const {
 }
 
 void Int8Conv::prepare_filter(const std::int8_t* filter) const {
+  const std::uint64_t fp = filter_fingerprint(
+      filter, static_cast<std::size_t>(p_.filter_elems()));
   std::lock_guard<std::mutex> lock(mu_);
-  if (packed_ != nullptr && packed_->key == filter) return;
-  packed_ = i8_pack_filter(filter, p_, rb_.vk);
+  // Same pointer, different contents (in-place edit, or a freed filter
+  // whose address was reused): re-pack rather than serve stale taps.
+  if (packed_ != nullptr && packed_->key == filter && packed_->fp == fp) {
+    return;
+  }
+  auto pf = i8_pack_filter(filter, p_, rb_.vk);
+  pf->fp = fp;
+  packed_ = std::move(pf);
 }
 
 void Int8Conv::run(const std::uint8_t* input, int in_zero_point,
@@ -586,7 +697,7 @@ std::vector<float> int8_conv_fp32(const float* input, const float* filter,
                                   bool relu, const Int8ConvOptions& opt,
                                   Int8RunStats* stats) {
   const QuantizedActivation qin = quantize_activation_u8(
-      input, static_cast<std::size_t>(p.input_elems()));
+      input, static_cast<std::size_t>(p.input_elems()), opt.pool);
   const QuantizedFilterI8 qf = quantize_filter_i8(filter, p);
   std::vector<float> dq(static_cast<std::size_t>(p.K));
   for (int k = 0; k < p.K; ++k) {

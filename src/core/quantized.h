@@ -8,10 +8,11 @@
 //
 // INT8: asymmetric u8 activations (real = in_scale * (u - zero_point)),
 // symmetric per-channel s8 filters (real = w_scale[k] * w). Int8Conv
-// packs inputs XORed with 0x80 and runs the SDOT/emulated/scalar policy
-// kernels of core/quantized_microkernel.h, finishing each tile with a
-// fused requantize epilogue (raw int32, saturating s8 with
-// round-to-nearest-even, or dequantized fp32 with optional bias+ReLU).
+// packs inputs XORed with 0x80 and runs the dot (SDOT / VPDPBUSD),
+// emulated or scalar policy kernels of core/quantized_microkernel.h,
+// finishing each tile with a fused requantize epilogue (raw int32,
+// saturating s8 with round-to-nearest-even, or dequantized fp32 with
+// optional bias+ReLU).
 //
 // Overflow contracts: choose_qmax() bounds int16 magnitudes so a
 // C*R*S-long reduction provably fits int32; choose_qmax_int8() is the
@@ -85,9 +86,14 @@ struct QuantizedActivation {
 };
 
 /// Min/max calibration over `n` floats (the range always includes 0 so
-/// zero is exactly representable, as padding demands).
+/// zero is exactly representable, as padding demands). Both the range
+/// pass and the quantize pass run chunked and vectorized on `pool`
+/// (nullptr = ThreadPool::global()); the result is bitwise identical to
+/// the scalar definition u = clamp(lrintf(x / scale) + zero_point, 0,
+/// 255) over the std::min / std::max range, whatever the pool size.
 QuantizedActivation quantize_activation_u8(const float* data,
-                                           std::size_t n);
+                                           std::size_t n,
+                                           ThreadPool* pool = nullptr);
 
 /// Symmetric per-output-channel s8 filter quantization:
 /// real = scales[k] * w for filter k's C*R*S taps.
@@ -135,11 +141,13 @@ struct Int8ConvOptions {
   /// Force a register block (0 = solve Eq. 3 for S, like fp32).
   RegisterBlock force_block{0, 0};
   /// Backend request; defaults to the best this host supports
-  /// (kDot on ASIMDDP unless NDIRECT_FORCE_NO_DOTPROD is set).
+  /// (kDot when int8_dot_available() unless NDIRECT_FORCE_NO_DOTPROD
+  /// is set).
   Int8Backend backend = int8_preferred_backend();
   ThreadPool* pool = nullptr;  ///< nullptr = ThreadPool::global()
-  /// Reuse the packed filter across run() calls keyed by the filter
-  /// pointer (mirrors the fp32 engine's packed-filter cache).
+  /// Reuse the packed filter across run() calls, keyed by the filter
+  /// pointer and validated by filter_fingerprint (mirrors the fp32
+  /// engine's packed-filter cache).
   bool cache_packed_filter = true;
 };
 

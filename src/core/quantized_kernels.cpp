@@ -18,15 +18,23 @@ const char* int8_backend_name(Int8Backend b) {
   return "?";
 }
 
-Int8Backend int8_preferred_backend() {
-  // The env override is read per call (tests flip it); the hardware
-  // probe is immutable for the process lifetime.
-  if (env_flag("NDIRECT_FORCE_NO_DOTPROD")) return Int8Backend::kEmulated;
+bool int8_dot_available() {
 #if NDIRECT_INT8_DOT_COMPILED
-  static const bool host_dotprod = probe_host_cpu().asimddp;
-  if (host_dotprod) return Int8Backend::kDot;
+  // The hardware probe is immutable for the process lifetime.
+  static const bool host_dot = [] {
+    const CpuInfo info = probe_host_cpu();
+    return info.asimddp || info.vnni;
+  }();
+  return host_dot;
+#else
+  return false;
 #endif
-  return Int8Backend::kEmulated;
+}
+
+Int8Backend int8_preferred_backend() {
+  // The env override is read per call (tests flip it).
+  if (env_flag("NDIRECT_FORCE_NO_DOTPROD")) return Int8Backend::kEmulated;
+  return int8_dot_available() ? Int8Backend::kDot : Int8Backend::kEmulated;
 }
 
 const std::vector<I8KernelEntry>& int8_kernel_registry() {
@@ -68,7 +76,7 @@ I8KernelResolution resolve_int8_kernel(int vw, int vk, int S, int str,
   Int8Backend want = preferred;
   if (want == Int8Backend::kDot && !NDIRECT_INT8_DOT_COMPILED) {
     want = Int8Backend::kEmulated;
-    res.reason = "no +dotprod compile target; emulated";
+    res.reason = "no dot-product compile target; emulated";
   }
   auto find = [&](Int8Backend b) -> const I8KernelEntry* {
     for (const I8KernelEntry& e : int8_kernel_registry()) {

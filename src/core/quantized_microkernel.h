@@ -18,9 +18,10 @@
 // Kernel geometry mirrors Algorithm 3 with the 4-channel group playing
 // the fp32 lane's role: the packed input row holds packw groups of 4
 // channel bytes, the filter tile holds Vk x 4 bytes per tap, and each
-// (w, s) tap is one lane-broadcast 4-way dot product — SDOT with a lane
-// operand on +dotprod targets, the widening SMULL/PMADDWD emulation
-// elsewhere, so the register budget is exactly the fp32 Eq. 3 with
+// (w, s) tap is one lane-broadcast 4-way dot product — SDOT on +dotprod
+// targets, VPDPBUSD (plus the exact u8 -> s8 correction) on AVX-VNNI /
+// AVX512-VNNI targets, the widening SMULL/PMADDWD emulation elsewhere,
+// so the register budget is exactly the fp32 Eq. 3 with
 // "element" = 4-channel group. Every kernel computes the full Vw x Vk
 // tile into an int32 accumulator scratch (ragged borders are handled by
 // the pack padding and the epilogue's masked stores, not by separate
@@ -64,17 +65,23 @@ namespace ndirect {
 enum class Int8Backend : std::uint8_t {
   kScalar = 0,  ///< plain C loops (parity reference / last resort)
   kEmulated,    ///< widening-multiply vec128 emulation (SMLAL shape)
-  kDot,         ///< native SDOT (requires a +dotprod compile target
-                ///< and an ASIMDDP host)
+  kDot,         ///< native dot product: SDOT (+dotprod target, ASIMDDP
+                ///< host) or VPDPBUSD (AVX-VNNI / AVX512-VNNI+VL
+                ///< target, CpuInfo::vnni host)
 };
 
 const char* int8_backend_name(Int8Backend b);
 
-/// Highest-performance backend available on this host: kDot when the
-/// binary was compiled for +dotprod, cpu_info reports ASIMDDP and
-/// NDIRECT_FORCE_NO_DOTPROD is not set; kEmulated otherwise. (kScalar
-/// is never preferred — it exists for parity and the registry
-/// fallback.)
+/// True when this binary compiled the native dot rung
+/// (NDIRECT_INT8_DOT_COMPILED) and the host can execute it: cpu_info
+/// reports ASIMDDP on aarch64 or VNNI on x86. Ignores
+/// NDIRECT_FORCE_NO_DOTPROD.
+bool int8_dot_available();
+
+/// Highest-performance backend available on this host: kDot when
+/// int8_dot_available() and NDIRECT_FORCE_NO_DOTPROD is not set;
+/// kEmulated otherwise. (kScalar is never preferred — it exists for
+/// parity and the registry fallback.)
 Int8Backend int8_preferred_backend();
 
 /// One int8 micro-kernel invocation. All strides are in bytes.
@@ -152,13 +159,26 @@ I8PolicySpan i8_policy_entries_s7();
 // The generator (included by the policy TUs and the tests only).
 // ---------------------------------------------------------------------------
 
+// One tap's dot product. On VPDPBUSD targets the dot rung accumulates
+// the biased dot sum (a + 128) * b here and the kernel subtracts the
+// bias once per tile, which takes the per-tap correction out of the
+// inner loop (exact: every rung computes modulo 2^32).
+template <bool UseDot>
+NDIRECT_ALWAYS_INLINE vec128i i8_tap(vec128i acc, vec128b a, vec128b b) {
+#if NDIRECT_INT8_DOT_BIASED
+  if constexpr (UseDot) return vdot_s8_biased(acc, a, b);
+#endif
+  return vdot_s8<UseDot>(acc, a, b);
+}
+
 // One (c4, r) row pair: preload the packed input row (packw 4-byte
 // groups) into whole byte-vectors, then every (w, s) tap broadcasts its
 // group and dots it against the Vk filter vector — the int8 Algorithm 3.
+// `bias` collects what the biased taps over-count, per filter vector.
 template <int VW, int VKV, int S, int STR, bool UseDot>
-NDIRECT_ALWAYS_INLINE void i8_cr_compute(vec128i (&acc)[VW][VKV],
-                                         const std::int8_t* brow,
-                                         const std::int8_t* frow) {
+NDIRECT_ALWAYS_INLINE void i8_cr_compute(
+    vec128i (&acc)[VW][VKV], [[maybe_unused]] vec128i (&bias)[VKV],
+    const std::int8_t* brow, const std::int8_t* frow) {
   constexpr int PACKW = (VW - 1) * STR + S;
   constexpr int XV = (PACKW + 3) / 4;
   vec128b x[XV];
@@ -171,13 +191,18 @@ NDIRECT_ALWAYS_INLINE void i8_cr_compute(vec128i (&acc)[VW][VKV],
        for (int j = 0; j < VKV; ++j) {
          f[j] = vload_b(frow + s * VKV * 16 + 16 * j);
        }
+#if NDIRECT_INT8_DOT_BIASED
+       if constexpr (UseDot) {
+         for (int j = 0; j < VKV; ++j) bias[j] = vdot_bias128(bias[j], f[j]);
+       }
+#endif
        [&]<int... Ws>(std::integer_sequence<int, Ws...>) {
          (([&] {
             constexpr int g = Ws * STR + s;
             static_assert(g / 4 < XV);
             const vec128b b = vdup_group<g % 4>(x[g / 4]);
             for (int j = 0; j < VKV; ++j) {
-              acc[Ws][j] = vdot_s8<UseDot>(acc[Ws][j], b, f[j]);
+              acc[Ws][j] = i8_tap<UseDot>(acc[Ws][j], b, f[j]);
             }
           }()),
           ...);
@@ -190,18 +215,27 @@ NDIRECT_ALWAYS_INLINE void i8_cr_compute(vec128i (&acc)[VW][VKV],
 template <int VW, int VKV, int S, int STR, bool UseDot>
 NDIRECT_FLATTEN void i8_policy_kernel(const I8MicroArgs& a) {
   vec128i acc[VW][VKV];
-  for (int w = 0; w < VW; ++w) {
-    for (int j = 0; j < VKV; ++j) acc[w][j] = vzero_i32();
+  vec128i bias[VKV];
+  for (int j = 0; j < VKV; ++j) {
+    bias[j] = vzero_i32();
+    for (int w = 0; w < VW; ++w) acc[w][j] = vzero_i32();
   }
   for (int c = 0; c < a.c4; ++c) {
     const std::int8_t* brows = a.pack + c * a.pack_c4_stride;
     const std::int8_t* fc = a.ftile + c * a.f_c4_stride;
     for (int r = 0; r < a.R; ++r) {
       i8_cr_compute<VW, VKV, S, STR, UseDot>(
-          acc, brows + r * a.pack_r_stride,
+          acc, bias, brows + r * a.pack_r_stride,
           fc + static_cast<std::int64_t>(r) * S * VKV * 16);
     }
   }
+#if NDIRECT_INT8_DOT_BIASED
+  if constexpr (UseDot) {
+    for (int w = 0; w < VW; ++w) {
+      for (int j = 0; j < VKV; ++j) acc[w][j] = vsub_i32(acc[w][j], bias[j]);
+    }
+  }
+#endif
   // K-vectorized accumulators -> k-major / w-contiguous scratch rows
   // via 4x4 transposes (the epilogue streams whole w-vectors per k).
   for (int j = 0; j < VKV; ++j) {

@@ -115,7 +115,9 @@ TensorShape ConvOp::infer(const std::vector<TensorShape>& in) const {
 
 void ConvOp::set_quantized(bool on) {
   quantized_ = on;
-  if (!on) {
+  if (on) {
+    engine_.reset();  // a quantized op never reads the fp32 packed filter
+  } else {
     qengine_.reset();
     qfilter_ready_ = false;
   }
@@ -129,14 +131,14 @@ Tensor ConvOp::quantized_forward(const Tensor& x) const {
     qengine_ = std::make_unique<Int8Conv>(params_, qopts);
   }
   if (filter_dirty_ || !qfilter_ready_) {
-    // Re-quantize the (possibly rescaled) weights; the fresh values
-    // vector re-keys the engine's packed-filter cache automatically.
+    // Re-quantize the (possibly rescaled) weights; the engine's
+    // packed-filter cache sees the new contents through its fingerprint.
     qfilter_ = quantize_filter_i8(filter_.data(), params_);
     qfilter_ready_ = true;
     filter_dirty_ = false;
   }
   const QuantizedActivation qx = quantize_activation_u8(
-      x.data(), static_cast<std::size_t>(params_.input_elems()));
+      x.data(), static_cast<std::size_t>(params_.input_elems()), pool_);
   qdequant_.resize(static_cast<std::size_t>(params_.K));
   for (int k = 0; k < params_.K; ++k) {
     qdequant_[static_cast<std::size_t>(k)] =

@@ -76,7 +76,9 @@ class ConvOp final : public Op {
   /// marked dirty), and the fp32 output is produced by the per-channel
   /// dequantize epilogue with the op's bias and fused ReLU — so the
   /// graph topology and every downstream op are unchanged. Only the
-  /// Ndirect backend; other backends ignore the flag.
+  /// Ndirect backend; other backends ignore the flag. Switching on
+  /// releases the fp32 engine and its packed filter (re-packed lazily if
+  /// switched back off); switching off releases the int8 engine.
   void set_quantized(bool on);
   bool quantized() const { return quantized_; }
   /// Stats of the most recent quantized forward (backend actually used,

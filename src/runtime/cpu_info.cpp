@@ -77,6 +77,14 @@ CpuInfo probe_host_cpu() {
   info.i8mm = (getauxval(AT_HWCAP2) & kHwcap2I8mm) != 0;
 #endif
 
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+  // __builtin_cpu_supports also checks that the OS saves the AVX /
+  // AVX-512 register state, not just the CPUID bit.
+  info.vnni = __builtin_cpu_supports("avxvnni") ||
+              (__builtin_cpu_supports("avx512vnni") &&
+               __builtin_cpu_supports("avx512vl"));
+#endif
+
 #ifdef _SC_LEVEL1_DCACHE_SIZE
   if (long s = sysconf(_SC_LEVEL1_DCACHE_SIZE); s > 0)
     info.cache.l1d = static_cast<std::size_t>(s);

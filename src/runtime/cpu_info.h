@@ -27,6 +27,10 @@ struct CpuInfo {
   /// ARMv8.6 int8 matrix-multiply extension (HWCAP2 i8mm): adds USDOT /
   /// SMMLA. Detected for the host stamp; no kernel uses it yet.
   bool i8mm = false;
+  /// x86 VPDPBUSD on 128-bit vectors — AVX-VNNI, or AVX512-VNNI with
+  /// AVX512VL: the u8 x s8 four-way dot product, x86's SDOT, which the
+  /// int8 kDot rung runs on. Always false on non-x86 hosts.
+  bool vnni = false;
 };
 
 /// Probe the calling machine. Never fails: unknown values keep defaults.

@@ -113,11 +113,14 @@ inline vec128f vload_partial(const float* p) {
     if constexpr (N == 1) {
       return {_mm_load_ss(p)};
     } else if constexpr (N == 2) {
-      // 8-byte load into the low half, upper half zero.
-      return {_mm_castpd_ps(_mm_load_sd(reinterpret_cast<const double*>(p)))};
+      // 8-byte load into the low half, upper half zero. MOVQ through
+      // the unaligned __m128i_u type: p is only float-aligned, so a
+      // double* access (_mm_load_sd) would be a misaligned load.
+      return {_mm_castsi128_ps(
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)))};
     } else {
-      const __m128 lo =
-          _mm_castpd_ps(_mm_load_sd(reinterpret_cast<const double*>(p)));
+      const __m128 lo = _mm_castsi128_ps(
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
       return {_mm_movelh_ps(lo, _mm_load_ss(p + 2))};
     }
 #else
@@ -150,9 +153,10 @@ inline void vstore_partial(float* p, vec128f a) {
     if constexpr (N == 1) {
       _mm_store_ss(p, a.v);
     } else if constexpr (N == 2) {
-      _mm_store_sd(reinterpret_cast<double*>(p), _mm_castps_pd(a.v));
+      // MOVQ store; see vload_partial on why not _mm_store_sd.
+      _mm_storel_epi64(reinterpret_cast<__m128i*>(p), _mm_castps_si128(a.v));
     } else {
-      _mm_store_sd(reinterpret_cast<double*>(p), _mm_castps_pd(a.v));
+      _mm_storel_epi64(reinterpret_cast<__m128i*>(p), _mm_castps_si128(a.v));
       _mm_store_ss(p + 2, _mm_movehl_ps(a.v, a.v));
     }
 #else

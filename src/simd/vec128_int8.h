@@ -9,9 +9,19 @@
 // the roofline.
 //
 // Three implementations share one exact-integer semantic:
-//   * native   — vdotq_s32 when the compiler targets +dotprod
-//                (__ARM_FEATURE_DOTPROD); only then is
-//                NDIRECT_INT8_DOT_COMPILED 1,
+//   * native   — one dot instruction per 16 MACs; NDIRECT_INT8_DOT_COMPILED
+//                is 1 only when the compile target has one:
+//                  - aarch64 +dotprod (__ARM_FEATURE_DOTPROD): vdotq_s32,
+//                  - x86 AVX-VNNI (__AVXVNNI__) or AVX512-VNNI with VL
+//                    (__AVX512VNNI__ && __AVX512VL__): VPDPBUSD, which
+//                    multiplies *unsigned* by signed bytes. The signed
+//                    product uses the exact identity
+//                      sum a*b = dpbusd(acc, a ^ 0x80, b)
+//                                - dpbusd(0, 0x80, b)
+//                    (a ^ 0x80 is a + 128 read as u8), so the s8 x s8
+//                    contract of the other rungs is kept bit for bit;
+//                    kernels (NDIRECT_INT8_DOT_BIASED) accumulate the
+//                    biased dot and subtract the bias once per tile,
 //   * emulated — the widening-multiply ladder: NEON SMULL/SMLAL pairs
 //                (vmull_s8 + vpaddlq_s16 + vpaddq_s32), SSE4.1
 //                sign-extend + PMADDWD (exact, unlike PMADDUBSW whose
@@ -19,8 +29,8 @@
 //                or scalar loops elsewhere,
 //   * scalar   — plain C loops, the parity reference.
 // All three produce bitwise-identical int32 accumulators (every path is
-// exact integer arithmetic; nothing saturates before the accumulator),
-// which the quantized parity sweep asserts.
+// exact integer arithmetic modulo 2^32; nothing saturates before the
+// accumulator), which the quantized parity sweep asserts.
 #pragma once
 
 #include <cmath>
@@ -30,6 +40,10 @@
 #include "simd/vec128.h"
 
 #if defined(NDIRECT_SIMD_NEON) && defined(__ARM_FEATURE_DOTPROD)
+#define NDIRECT_INT8_DOT_COMPILED 1
+#elif defined(NDIRECT_SIMD_SSE) &&  \
+    (defined(__AVXVNNI__) ||        \
+     (defined(__AVX512VNNI__) && defined(__AVX512VL__)))
 #define NDIRECT_INT8_DOT_COMPILED 1
 #else
 #define NDIRECT_INT8_DOT_COMPILED 0
@@ -128,6 +142,17 @@ inline vec128i vadd_i32(vec128i a, vec128i b) {
 #endif
 }
 
+inline vec128i vsub_i32(vec128i a, vec128i b) {
+#if defined(NDIRECT_SIMD_NEON)
+  return {vsubq_s32(a.v, b.v)};
+#elif defined(NDIRECT_SIMD_SSE)
+  return {_mm_sub_epi32(a.v, b.v)};
+#else
+  return {{a.v[0] - b.v[0], a.v[1] - b.v[1], a.v[2] - b.v[2],
+           a.v[3] - b.v[3]}};
+#endif
+}
+
 /// Convert 4 int32 lanes to float (the requantize/dequantize epilogue's
 /// first step).
 inline vec128f vcvt_f32_i32(vec128i a) {
@@ -205,10 +230,48 @@ inline void vtranspose4x4_i32(vec128i& r0, vec128i& r1, vec128i& r2,
 // The 4-way dot product
 // ---------------------------------------------------------------------------
 
+#if NDIRECT_INT8_DOT_COMPILED && defined(NDIRECT_SIMD_SSE)
+/// The x86 dot, VPDPBUSD, is u8 x s8. Kernels accumulate the *biased*
+/// dot vdot_s8_biased and subtract the bias vdot_bias128 once per tile;
+/// vdot_s8_native applies the same identity per call.
+#define NDIRECT_INT8_DOT_BIASED 1
+
+inline __m128i i8_dpbusd(__m128i acc, __m128i u8, __m128i s8) {
+#if defined(__AVX512VNNI__) && defined(__AVX512VL__)
+  // EVEX encoding: may also use xmm16-31, easing the Eq. 3 tile's
+  // register pressure on a 16-register SSE file.
+  return _mm_dpbusd_epi32(acc, u8, s8);
+#else
+  return _mm_dpbusd_avx_epi32(acc, u8, s8);
+#endif
+}
+
+/// acc lane i += sum (a + 128) * b over bytes 4i..4i+3: VPDPBUSD on
+/// a ^ 0x80, which is a + 128 read as u8.
+inline vec128i vdot_s8_biased(vec128i acc, vec128b a, vec128b b) {
+  const __m128i shift = _mm_set1_epi8(static_cast<char>(0x80));
+  return {i8_dpbusd(acc.v, _mm_xor_si128(a.v, shift), b.v)};
+}
+
+/// acc lane i += 128 * sum b over bytes 4i..4i+3: the excess that
+/// vdot_s8_biased adds to the signed dot.
+inline vec128i vdot_bias128(vec128i acc, vec128b b) {
+  return {i8_dpbusd(acc.v, _mm_set1_epi8(static_cast<char>(0x80)), b.v)};
+}
+#else
+#define NDIRECT_INT8_DOT_BIASED 0
+#endif
+
 #if NDIRECT_INT8_DOT_COMPILED
-/// Native SDOT: acc lane i += dot(a[4i..4i+3], b[4i..4i+3]).
+/// Native dot: acc lane i += dot(a[4i..4i+3], b[4i..4i+3]).
 inline vec128i vdot_s8_native(vec128i acc, vec128b a, vec128b b) {
+#if defined(NDIRECT_SIMD_NEON)
   return {vdotq_s32(acc.v, a.v, b.v)};
+#else
+  // sum a * b = dpbusd(acc, a ^ 0x80, b) - dpbusd(0, 0x80, b), exact
+  // modulo 2^32 like every other rung.
+  return vsub_i32(vdot_s8_biased(acc, a, b), vdot_bias128(vzero_i32(), b));
+#endif
 }
 #endif
 
@@ -251,7 +314,7 @@ inline vec128i vdot_s8_emul(vec128i acc, vec128b a, vec128b b) {
 }
 
 /// Backend-selected dot product for the kernel generator: UseDot picks
-/// the native SDOT (only instantiated when the target compiles it).
+/// the native dot (only instantiated when the target compiles it).
 template <bool UseDot>
 inline vec128i vdot_s8(vec128i acc, vec128b a, vec128b b) {
 #if NDIRECT_INT8_DOT_COMPILED
@@ -262,7 +325,7 @@ inline vec128i vdot_s8(vec128i acc, vec128b a, vec128b b) {
   }
 #else
   static_assert(!UseDot,
-                "native dot kernels require a +dotprod compile target");
+                "native dot kernels require a +dotprod or VNNI target");
   return vdot_s8_emul(acc, a, b);
 #endif
 }

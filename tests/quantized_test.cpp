@@ -1,15 +1,19 @@
 // Int8 path tests (DESIGN.md §14): overflow contract, exact-integer
-// parity across SDOT/emulated/scalar backends, requantize epilogue
-// edge cases, zero-point compensation, nn-graph integration, and the
-// quantized ResNet-50 drift bound.
+// parity across dot (SDOT / VPDPBUSD) / emulated / scalar backends,
+// requantize epilogue edge cases, zero-point compensation, the
+// activation quantizer against its scalar definition, the packed-filter
+// cache, nn-graph integration, and the quantized ResNet-50 drift bound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <limits>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "autotune/tuner.h"
@@ -20,6 +24,8 @@
 #include "nn/optimize.h"
 #include "platform/workloads.h"
 #include "runtime/cpu_info.h"
+#include "runtime/env.h"
+#include "runtime/thread_pool.h"
 #include "tensor/rng.h"
 
 namespace ndirect {
@@ -159,12 +165,11 @@ TEST(Int8Conv, RawInt32MatchesNaiveBitwise) {
 TEST(Int8Conv, BackendsAreBitwiseIdentical) {
   // The exhaustive parity sweep: every correctness shape (ragged W/K
   // tails, strides, pads) through the scalar generic, the emulated
-  // vec128 kernels, and — on a dot-product host — the SDOT kernels.
+  // vec128 kernels, and — on a dot-product host, whatever
+  // NDIRECT_FORCE_NO_DOTPROD says — the SDOT / VPDPBUSD kernels.
   std::vector<Int8Backend> backends = {Int8Backend::kScalar,
                                        Int8Backend::kEmulated};
-  if (int8_preferred_backend() == Int8Backend::kDot) {
-    backends.push_back(Int8Backend::kDot);
-  }
+  if (int8_dot_available()) backends.push_back(Int8Backend::kDot);
   int i = 0;
   for (const ConvParams& p : correctness_conv_shapes()) {
     const auto in = random_u8(
@@ -183,6 +188,26 @@ TEST(Int8Conv, BackendsAreBitwiseIdentical) {
           << p << " backend " << int8_backend_name(backends[j]);
     }
   }
+}
+
+TEST(Int8Conv, PackedFilterCacheSeesInPlaceEdits) {
+  // The cache is keyed by the filter pointer; an in-place edit between
+  // runs keeps the pointer, so only the content fingerprint can tell
+  // the cached packing is stale.
+  const ConvParams p{.N = 1, .C = 8, .H = 6, .W = 6, .K = 8, .R = 3,
+                     .S = 3, .str = 1, .pad = 1};
+  const auto in = random_u8(static_cast<std::size_t>(p.input_elems()), 3);
+  auto flt = random_s8(static_cast<std::size_t>(p.filter_elems()), 4);
+  const Int8Conv conv(p);  // cache_packed_filter defaults on
+  std::vector<std::int32_t> got(static_cast<std::size_t>(p.output_elems()));
+  Int8Output dst;
+  dst.i32 = got.data();
+  conv.run(in.data(), 9, flt.data(), Int8Epilogue{}, dst);
+  for (std::int8_t& w : flt) w = static_cast<std::int8_t>(-w);
+  conv.run(in.data(), 9, flt.data(), Int8Epilogue{}, dst);
+  std::vector<std::int32_t> want(got.size());
+  naive_conv_int8(in.data(), 9, flt.data(), want.data(), p);
+  EXPECT_EQ(got, want) << "an edited filter must be re-packed";
 }
 
 TEST(Int8Conv, ForcedBlocksStayExact) {
@@ -356,6 +381,101 @@ TEST(QuantizeHelpers, ActivationRangeAlwaysCoversZero) {
   EXPECT_EQ(qn.zero_point, 255);
 }
 
+// The scalar definition quantize_activation_u8 must reproduce bitwise.
+QuantizedActivation quantize_activation_u8_reference(const float* data,
+                                                     std::size_t n) {
+  float lo = 0.0f, hi = 0.0f;
+  for (std::size_t i = 0; i < n; ++i) {
+    lo = std::min(lo, data[i]);
+    hi = std::max(hi, data[i]);
+  }
+  QuantizedActivation q;
+  const float range = hi - lo;
+  q.scale = range > 0 ? range / 255.0f : 1.0f;
+  const float inv = 1.0f / q.scale;
+  q.zero_point = std::clamp<std::int32_t>(
+      static_cast<std::int32_t>(std::lrintf(-lo * inv)), 0, 255);
+  q.values.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int32_t v =
+        static_cast<std::int32_t>(std::lrintf(data[i] * inv)) +
+        q.zero_point;
+    q.values[i] =
+        static_cast<std::uint8_t>(std::clamp<std::int32_t>(v, 0, 255));
+  }
+  return q;
+}
+
+TEST(QuantizeHelpers, ActivationQuantizerMatchesScalarReferenceBitwise) {
+  // Ragged sizes around the 16-float vector step and the 32768-float
+  // parallel chunk, up to a 224x224x64 activation; sign-uniform, zero,
+  // -0.0f, exact .5 ties (range 255 => scale 1, so x.5 inputs land on
+  // ties), NaN and +-inf elements; pools of 1 and 4 threads.
+  constexpr std::size_t kChunk = std::size_t{1} << 15;
+  const std::size_t sizes[] = {1,          3,          15,
+                               16,         17,         kChunk - 5,
+                               kChunk + 5, 2 * kChunk + 17,
+                               std::size_t{224} * 224 * 64};
+  using Fill = std::function<float(std::size_t, std::mt19937_64&)>;
+  std::uniform_real_distribution<float> unit(-1.0f, 1.0f);
+  const std::vector<std::pair<const char*, Fill>> fills = {
+      {"mixed", [&](std::size_t, std::mt19937_64& r) { return unit(r); }},
+      {"all-negative",
+       [&](std::size_t, std::mt19937_64& r) {
+         return -std::fabs(unit(r)) - 1e-3f;
+       }},
+      {"all-positive",
+       [&](std::size_t, std::mt19937_64& r) {
+         return std::fabs(unit(r)) + 1e-3f;
+       }},
+      {"all-zero", [](std::size_t, std::mt19937_64&) { return 0.0f; }},
+      {"negative-zero",
+       [](std::size_t, std::mt19937_64&) { return -0.0f; }},
+      {"zeros-and-negative-zeros",
+       [&](std::size_t i, std::mt19937_64& r) {
+         return i % 3 == 0 ? -0.0f : (i % 3 == 1 ? 0.0f : unit(r));
+       }},
+      {"half-ties",
+       [](std::size_t i, std::mt19937_64&) {
+         // -128 and 127 pin the range to 255; the rest are k + 0.5.
+         if (i == 0) return -128.0f;
+         if (i == 1) return 127.0f;
+         return static_cast<float>(static_cast<int>(i % 255) - 128) + 0.5f;
+       }},
+      {"nan-sprinkled",
+       [&](std::size_t i, std::mt19937_64& r) {
+         return i % 7 == 3 ? std::numeric_limits<float>::quiet_NaN()
+                           : unit(r);
+       }},
+      {"with-infinity",
+       [&](std::size_t i, std::mt19937_64& r) {
+         return i % 11 == 5 ? std::numeric_limits<float>::infinity()
+                            : unit(r);
+       }},
+  };
+  ThreadPool pool1(1), pool4(4);
+  for (const std::size_t n : sizes) {
+    for (const auto& [name, fill] : fills) {
+      std::mt19937_64 rng(n * 31 + 7);
+      std::vector<float> x(n);
+      for (std::size_t i = 0; i < n; ++i) x[i] = fill(i, rng);
+      const QuantizedActivation want =
+          quantize_activation_u8_reference(x.data(), n);
+      for (ThreadPool* pool : {&pool1, &pool4}) {
+        const QuantizedActivation got =
+            quantize_activation_u8(x.data(), n, pool);
+        const auto ctx = ::testing::Message()
+                         << name << " n=" << n << " threads="
+                         << pool->size();
+        ASSERT_EQ(std::memcmp(&got.scale, &want.scale, sizeof(float)), 0)
+            << ctx << " scale " << got.scale << " vs " << want.scale;
+        ASSERT_EQ(got.zero_point, want.zero_point) << ctx;
+        ASSERT_EQ(got.values, want.values) << ctx;
+      }
+    }
+  }
+}
+
 TEST(QuantizeHelpers, PerChannelScalesTrackChannelRanges) {
   const ConvParams p{.N = 1, .C = 2, .H = 4, .W = 4, .K = 3, .R = 3,
                      .S = 3, .str = 1, .pad = 1};
@@ -492,11 +612,81 @@ TEST(Int8Registry, PreferredBackendRespectsForceNoDotprod) {
   }
   // The hardware claim must be consistent with the compile target: a
   // kDot preference requires both the compiled kernels and the
-  // ASIMDDP hwcap.
+  // ASIMDDP / VNNI probe bit.
   if (int8_preferred_backend() == Int8Backend::kDot) {
     EXPECT_TRUE(NDIRECT_INT8_DOT_COMPILED);
-    EXPECT_TRUE(probe_host_cpu().asimddp);
+    const CpuInfo cpu = probe_host_cpu();
+    EXPECT_TRUE(cpu.asimddp || cpu.vnni);
   }
+}
+
+TEST(Int8Registry, DotRungServesAQuantizedResNet50) {
+  // Where the binary compiled the dot rung and the probe finds the
+  // instruction, it must be the preferred backend and every conv of a
+  // quantized forward must actually run on it — the fast path cannot
+  // silently degrade to emulation.
+  const CpuInfo cpu = probe_host_cpu();
+  if (!NDIRECT_INT8_DOT_COMPILED || !(cpu.asimddp || cpu.vnni)) {
+    GTEST_SKIP() << "no dot-product rung on this build or host";
+  }
+  EXPECT_TRUE(int8_dot_available());
+  const Int8Backend want = env_flag("NDIRECT_FORCE_NO_DOTPROD")
+                               ? Int8Backend::kEmulated
+                               : Int8Backend::kDot;
+  EXPECT_EQ(int8_preferred_backend(), want);
+
+  ModelOptions opts;
+  opts.channel_divisor = 16;
+  opts.image_size = 32;
+  auto net = build_resnet50(1, opts);
+  fold_batchnorm(*net);
+  fuse_conv_relu(*net);
+  ASSERT_GT(quantize_convs(*net), 0);
+  Tensor input({1, 3, 32, 32}, Layout::NCHW);
+  fill_random(input, 5);
+  net->run(input);
+  for (ConvOp* c : net->conv_ops()) {
+    EXPECT_EQ(c->quantized_stats().backend, want)
+        << c->params().to_string() << ": "
+        << int8_backend_name(c->quantized_stats().backend) << " ("
+        << c->quantized_stats().reason << ")";
+    EXPECT_EQ(c->quantized_stats().generic_fallback, 0u);
+  }
+}
+
+TEST(Int8Registry, NativeDotMatchesEmulationOnExtremeBytes) {
+  // The x86 rung rewrites s8 x s8 as (a ^ 0x80) u8 x s8 minus 128 * b;
+  // the identity must hold on the byte extremes (-128 included, which
+  // packed activations reach at u = 0) with accumulators near the int32
+  // edges, where every rung wraps identically.
+  if (!int8_dot_available()) GTEST_SKIP() << "no dot-product rung";
+#if NDIRECT_INT8_DOT_COMPILED
+  const std::int8_t values[] = {-128, -127, -1, 0, 1, 2, 126, 127};
+  std::mt19937_64 rng(17);
+  std::uniform_int_distribution<int> pick(0, 7);
+  const std::int32_t accs[] = {0, -5, std::numeric_limits<std::int32_t>::max(),
+                               std::numeric_limits<std::int32_t>::min()};
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::int8_t a[16], b[16];
+    for (int i = 0; i < 16; ++i) {
+      a[i] = values[pick(rng)];
+      b[i] = values[pick(rng)];
+    }
+    const vec128i acc = vdup_i32(accs[trial % 4]);
+    std::int32_t native[4], emul[4];
+    vstore_i32(native, vdot_s8<true>(acc, vload_b(a), vload_b(b)));
+    vstore_i32(emul, vdot_s8<false>(acc, vload_b(a), vload_b(b)));
+    for (int g = 0; g < 4; ++g) {
+      std::int64_t dot = accs[trial % 4];
+      for (int i = 0; i < 4; ++i) dot += a[4 * g + i] * b[4 * g + i];
+      // Reference wraps modulo 2^32 like the int32 lanes.
+      const auto want = static_cast<std::int32_t>(
+          static_cast<std::uint32_t>(static_cast<std::uint64_t>(dot)));
+      ASSERT_EQ(native[g], want) << "trial " << trial << " lane " << g;
+      ASSERT_EQ(emul[g], want) << "trial " << trial << " lane " << g;
+    }
+  }
+#endif
 }
 
 TEST(Int8Conv, NoGenericFallbackAcrossTable4) {
