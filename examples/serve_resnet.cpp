@@ -6,9 +6,8 @@
 //
 // The server also feeds the live metrics plane (DESIGN.md §16): every
 // request updates named registry instruments, and the tail of the run
-// prints the server's OpenMetrics exposition. Point a scraper at a
-// periodic dump with NDIRECT_METRICS_FILE=/tmp/ndirect.prom, or send
-// the process SIGUSR2 for an on-demand flight record.
+// prints the server's OpenMetrics exposition. To scrape it while the
+// server runs, start it with --admin-port (below) and GET /metrics.
 //
 // With --admin-port=N the process mounts the HTTP admin plane
 // (DESIGN.md §17) and serves /metrics, /healthz, /readyz, /slo,

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate an OpenMetrics text exposition produced by the metrics
-registry (MetricsRegistry::text(), dumped via NDIRECT_METRICS_FILE or
-Server::metrics_text()).
+registry (MetricsRegistry::text(), as returned by
+Server::metrics_text() and served by the admin plane's GET /metrics).
 
 Checks what a Prometheus scraper would silently mis-ingest but a
 correct exporter must guarantee:
@@ -22,8 +22,8 @@ be enforced with --require (repeatable):
       --require ndirect_serve_requests:counter \
       --require ndirect_serve_e2e_ns:histogram
 
-The exposition can also be scraped live from the admin plane
-(serve/admin.h's GET /metrics) instead of read from a file:
+The exposition is usually scraped live from the admin plane
+(serve/admin.h's GET /metrics) instead of read from a saved file:
 
   check_metrics.py --url http://localhost:9900/metrics --require ...
 

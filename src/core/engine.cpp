@@ -14,6 +14,7 @@
 #include "runtime/aligned_buffer.h"
 #include "runtime/perf_counters.h"
 #include "runtime/scratch.h"
+#include "runtime/timer.h"
 #include "runtime/trace.h"
 #include "tensor/transforms.h"
 
@@ -232,15 +233,13 @@ void run_nest(const ConvParams& p, const NdirectPlan& plan,
   // Per-worker phase attribution: each worker accumulates its phase
   // nanoseconds in locals and flushes them into its own telemetry slot
   // when it runs out of tiles, so the transform/pack/micro-kernel
-  // breakdown is valid at any worker count (the previous PhaseTimer
-  // path recorded nothing beyond one worker). Collection stays off
+  // breakdown is valid at any worker count. Collection stays off
   // unless someone will consume it; the worker is templated on the
   // collect flag so the disabled instantiation carries no timer reads
   // or branches in the tile loop at all.
   const bool tracing = trace_on();
   const bool collect =
-      telemetry_enabled() && (opts.telemetry != nullptr ||
-                              opts.phase_timer != nullptr || tracing);
+      telemetry_enabled() && (opts.telemetry != nullptr || tracing);
   WorkerTelemetry tel(collect ? num_workers : 0);
   // Hardware-counter mode for this run: 0 off, 1 per-task group deltas,
   // 2 additionally attributes L1D misses to the pack phase. Rides the
@@ -600,21 +599,6 @@ void run_nest(const ConvParams& p, const NdirectPlan& plan,
       row.v[static_cast<int>(Counter::kGlobalSteals)] =
           sched.worker_steals(w, StealClass::kGlobal);
     }
-    if (opts.phase_timer != nullptr) {
-      // Compatibility aggregation view: the historical phase names,
-      // one add() per phase per run, and only for phases that actually
-      // ran — fused mode still reports seconds("packing") == 0.
-      const double transform = snap.phase_seconds(Counter::kTransformNs);
-      const double packing = snap.phase_seconds(Counter::kPackNs);
-      const double micro = snap.phase_seconds(Counter::kMicrokernelNs);
-      if (transform > 0) opts.phase_timer->add("transform", transform);
-      if (packing > 0) opts.phase_timer->add("packing", packing);
-      if (micro > 0) opts.phase_timer->add("micro-kernel", micro);
-    }
-    // Live metrics plane: fold this run's deltas into the process-wide
-    // registry so always-on scrapers see engine activity without a
-    // per-run sink (runtime/metrics.h).
-    snap.publish_metrics();
     if (opts.telemetry != nullptr) *opts.telemetry = std::move(snap);
   } else if (opts.telemetry != nullptr) {
     // Disabled collection must not leave a stale previous snapshot.
@@ -660,7 +644,6 @@ void NdirectConv::run_into(const float* input, const float* filter,
       cache_hit = filter_cache_warm(filter);
     aot_data = prepare_filter(filter);
   } else if (options_.aot_filter) {
-    WallTimer t;
     // Wrap the raw filter in a transform call via the tiled routine on
     // the whole tensor (identical layout to pack_filter_kpacked).
     const ConvParams& p = params_;
@@ -670,8 +653,6 @@ void NdirectConv::run_into(const float* input, const float* filter,
     transform_filter_tile(filter, p.K, p.C, p.R, p.S, 0,
                           static_cast<int>(aot.dim(0)) * plan_.rb.vk, 0,
                           p.C, plan_.rb.vk, aot.data());
-    if (options_.phase_timer != nullptr)
-      options_.phase_timer->add("transform", t.seconds());
     aot_data = aot.data();
   }
   run_nest(exec_, plan_, options_, nchw_strides(exec_), input, filter,
@@ -716,12 +697,9 @@ const float* NdirectConv::prepare_filter(const float* filter) const {
   const int vk = plan_.rb.vk;
   entry->packed =
       Tensor({(p.K + vk - 1) / vk, p.C, p.R, p.S, vk}, Layout::KPacked);
-  WallTimer t;
   transform_filter_tile(filter, p.K, p.C, p.R, p.S, 0,
                         static_cast<int>(entry->packed.dim(0)) * vk, 0, p.C,
                         vk, entry->packed.data());
-  if (options_.phase_timer != nullptr)
-    options_.phase_timer->add("transform", t.seconds());
   entry->fp = fp;
   entry->src.store(filter, std::memory_order_relaxed);
   FilterCache::Entry* raw = entry.get();

@@ -24,7 +24,6 @@
 #include "runtime/cpu_info.h"
 #include "runtime/telemetry.h"
 #include "runtime/thread_pool.h"
-#include "runtime/timer.h"
 #include "runtime/work_queue.h"
 #include "tensor/conv_params.h"
 #include "tensor/tensor.h"
@@ -145,21 +144,14 @@ struct NdirectOptions {
   const CacheInfo* cache = nullptr;    ///< nullptr = probed host cache
   double alpha = 0;                    ///< 0 = measured host alpha
 
-  /// Aggregated phase breakdown (transform / packing / micro-kernel),
-  /// now valid at any worker count: each worker accumulates phase time
-  /// into its own telemetry slot and the per-phase sums are folded into
-  /// the timer after the run (one add() per phase per run, so counts
-  /// are per-run, not per-call). Requires telemetry (both the CMake
-  /// option and NDIRECT_TELEMETRY at runtime); records nothing in the
-  /// no-op build.
-  PhaseTimer* phase_timer = nullptr;
-
   /// When non-null, filled after each run with that run's per-worker
   /// telemetry: tiles claimed, steals by locality class, phase
-  /// nanoseconds, cache hits, and the run's wall time (the input to
-  /// build_conv_report). Overwritten every run; cleared to an empty
-  /// snapshot when telemetry is disabled. Like sched_stats, point
-  /// concurrent runs of one engine at distinct sinks or leave null.
+  /// nanoseconds (the transform / packing / micro-kernel breakdown of
+  /// Fig. 5, valid at any worker count), cache hits, and the run's
+  /// wall time (the input to build_conv_report). Overwritten every
+  /// run; cleared to an empty snapshot when telemetry is disabled.
+  /// Like sched_stats, point concurrent runs of one engine at distinct
+  /// sinks or leave null.
   TelemetrySnapshot* telemetry = nullptr;
 };
 

@@ -33,8 +33,16 @@ TensorShape shape_of(const Tensor& t) {
 }  // namespace
 
 std::string TensorShape::to_string() const {
-  return "[" + std::to_string(N) + ", " + std::to_string(C) + ", " +
-         std::to_string(H) + ", " + std::to_string(W) + "]";
+  std::string s = "[";
+  s += std::to_string(N);
+  s += ", ";
+  s += std::to_string(C);
+  s += ", ";
+  s += std::to_string(H);
+  s += ", ";
+  s += std::to_string(W);
+  s += ']';
+  return s;
 }
 
 const char* conv_backend_name(ConvBackend b) {

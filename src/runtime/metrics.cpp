@@ -1,13 +1,7 @@
 #include "runtime/metrics.h"
 
-#include <chrono>
-#include <csignal>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 
-#include "runtime/env.h"
-#include "runtime/shutdown.h"
 #include "runtime/trace.h"
 
 namespace ndirect {
@@ -37,17 +31,6 @@ bool labels_equal(const MetricLabels& a, const MetricLabels& b) {
   for (std::size_t i = 0; i < a.size(); ++i)
     if (a[i].key != b[i].key || a[i].value != b[i].value) return false;
   return true;
-}
-
-std::uint64_t sig_flag_mask() { return 1; }
-
-/// Set by the SIGUSR2 handler, consumed by the dump thread. An atomic
-/// is async-signal-safe when lock-free; uint64_t always is here.
-std::atomic<std::uint64_t> g_flight_requests{0};
-
-extern "C" void sigusr2_handler(int) {
-  g_flight_requests.fetch_or(sig_flag_mask(),
-                             std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -275,133 +258,5 @@ std::string MetricsRegistry::text() const {
   out += "# EOF\n";
   return out;
 }
-
-// ---------------------------------------------------------------------------
-// MetricsExporter
-// ---------------------------------------------------------------------------
-
-MetricsExporter& MetricsExporter::global() {
-  static MetricsExporter* exporter = new MetricsExporter;
-  return *exporter;
-}
-
-void MetricsExporter::start(const std::string& path, long interval_ms) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (running_) return;
-  path_ = path;
-  interval_ms_ = interval_ms > 0 ? interval_ms : 1000;
-  stop_requested_ = false;
-  running_ = true;
-  std::signal(SIGUSR2, sigusr2_handler);
-  thread_ = std::thread([this] { loop(); });
-}
-
-void MetricsExporter::stop() {
-  // Serializes concurrent stop() calls (exit hook + explicit caller).
-  std::lock_guard<std::mutex> stop_lk(stop_mu_);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!running_) return;
-    stop_requested_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  dump_now();  // the final state always reaches the file
-  std::lock_guard<std::mutex> lk(mu_);
-  running_ = false;
-}
-
-bool MetricsExporter::running() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return running_;
-}
-
-std::uint64_t MetricsExporter::dump_count() const {
-  return dumps_.load(std::memory_order_relaxed);
-}
-
-bool MetricsExporter::dump_now() {
-  std::string path;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    path = path_;
-  }
-  if (path.empty()) return false;
-  const std::string body = MetricsRegistry::global().text();
-  // Atomic replace: a scraper tailing the file never sees a torn dump.
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool wrote =
-      std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  dumps_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-void MetricsExporter::flight_record() {
-  (void)dump_now();
-  TraceSession& session = TraceSession::global();
-  if (session.size() > 0) {
-    std::string path;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      path = path_;
-    }
-    if (!path.empty()) (void)session.export_json(path + ".trace.json");
-  }
-}
-
-void MetricsExporter::loop() {
-  // Wake in short slices so a SIGUSR2 flight record is serviced
-  // promptly even under a long dump interval.
-  constexpr long kSliceMs = 100;
-  long since_dump_ms = 0;
-  std::unique_lock<std::mutex> lk(mu_);
-  while (!stop_requested_) {
-    const long slice = interval_ms_ < kSliceMs ? interval_ms_ : kSliceMs;
-    cv_.wait_for(lk, std::chrono::milliseconds(slice));
-    if (stop_requested_) break;
-    const bool flight =
-        g_flight_requests.exchange(0, std::memory_order_relaxed) != 0;
-    since_dump_ms += slice;
-    if (flight) {
-      lk.unlock();
-      flight_record();
-      lk.lock();
-      since_dump_ms = 0;
-    } else if (since_dump_ms >= interval_ms_) {
-      lk.unlock();
-      (void)dump_now();
-      lk.lock();
-      since_dump_ms = 0;
-    }
-  }
-}
-
-namespace {
-
-/// NDIRECT_METRICS_FILE=<path>: periodic OpenMetrics dumps for
-/// unmodified binaries, interval from NDIRECT_METRICS_INTERVAL_MS.
-/// The exit hook joins the dump thread before the NDIRECT_TRACE
-/// exporter runs (LIFO order in runtime/shutdown.h) — no static-
-/// destruction races.
-struct MetricsEnvAutoStart {
-  MetricsEnvAutoStart() {
-    const char* path = std::getenv("NDIRECT_METRICS_FILE");
-    if (path == nullptr || *path == '\0') return;
-    MetricsExporter::global().start(
-        path, env_long("NDIRECT_METRICS_INTERVAL_MS", 1000));
-    register_exit_hook("metrics-exporter",
-                       [] { MetricsExporter::global().stop(); });
-  }
-};
-const MetricsEnvAutoStart g_metrics_autostart;
-
-}  // namespace
 
 }  // namespace ndirect

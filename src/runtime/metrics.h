@@ -10,15 +10,9 @@
 // is the cold path; call sites cache the returned handle.
 //
 // Exposition: text() renders the whole registry in the OpenMetrics /
-// Prometheus text format on demand. Three surfaces consume it:
-//   * NDIRECT_METRICS_FILE=<path> starts a background dump thread at
-//     load time that rewrites <path> every NDIRECT_METRICS_INTERVAL_MS
-//     (default 1000) — point any file-tailing scraper at it;
-//   * serve::Server::metrics_text() returns it on request;
-//   * SIGUSR2 triggers a flight record: an immediate metrics dump plus
-//     a flush of the chrome-trace ring (runtime/trace.h) when tracing.
-// Shutdown ordering is owned by runtime/shutdown.h, not static
-// destructors: the dump thread joins before the trace exporter runs.
+// Prometheus text format on demand. serve::Server::metrics_text()
+// returns it, and the admin plane (serve/admin.h) serves it live as
+// GET /metrics; that scrape is the one exit.
 //
 // Histograms are HDR-style log-bucketed: each power-of-two octave is
 // split into kSubBuckets linear sub-buckets, so relative bucket width
@@ -29,12 +23,10 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -233,58 +225,5 @@ class MetricsRegistry {
 /// Render one label set as {k1="v1",k2="v2"} with OpenMetrics escaping
 /// ("" for an empty set). Exposed for the exposition tests.
 std::string format_labels(const MetricLabels& labels);
-
-// ---------------------------------------------------------------------------
-// Background exposition: periodic file dumps + SIGUSR2 flight record.
-// ---------------------------------------------------------------------------
-
-/// The background dump thread behind NDIRECT_METRICS_FILE. start() is
-/// idempotent; stop() joins the thread after one final dump and is
-/// safe to call any number of times (including when never started).
-/// Shutdown ordering: runtime/shutdown.h runs stop() before the
-/// NDIRECT_TRACE atexit export, so the thread never races static
-/// destruction (the bug class this replaces).
-class MetricsExporter {
- public:
-  static MetricsExporter& global();
-
-  /// Begin dumping MetricsRegistry::global().text() to `path` every
-  /// `interval_ms` milliseconds (writes are atomic: temp file +
-  /// rename). Also installs the SIGUSR2 flight-record handler.
-  void start(const std::string& path, long interval_ms = 1000);
-
-  /// Final dump, then join the thread. Idempotent.
-  void stop();
-
-  bool running() const;
-
-  /// Write the exposition to the configured path right now (also what
-  /// the SIGUSR2 handler schedules). Returns false on I/O failure or
-  /// when no path is configured.
-  bool dump_now();
-
-  /// The flight record: dump metrics now and, when the global trace
-  /// session has events, export the trace ring next to the metrics
-  /// file (<path>.trace.json) without stopping the session. Called by
-  /// the dump thread when SIGUSR2 was observed; callable directly from
-  /// tests.
-  void flight_record();
-
-  /// Dumps completed since start() (test/observability hook).
-  std::uint64_t dump_count() const;
-
- private:
-  void loop();
-
-  mutable std::mutex mu_;
-  std::mutex stop_mu_;  ///< serializes stop() callers
-  std::string path_;
-  long interval_ms_ = 1000;
-  std::thread thread_;
-  std::condition_variable cv_;
-  bool stop_requested_ = false;
-  bool running_ = false;
-  std::atomic<std::uint64_t> dumps_{0};
-};
 
 }  // namespace ndirect

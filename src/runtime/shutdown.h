@@ -3,20 +3,20 @@
 // Before this existed, exit behaviour depended on static-destruction
 // luck: the NDIRECT_TRACE atexit exporter could run while a
 // serve::Server's executor lanes were still draining (recording trace
-// events into the ring mid-export), and the NDIRECT_METRICS_FILE dump
-// thread had no defined join point at all. This registry replaces that
-// with one explicit LIFO hook chain behind a single std::atexit
+// events into the ring mid-export). This registry replaces that with
+// one explicit LIFO hook chain behind a single std::atexit
 // registration:
 //
 //   registration order                exit order (LIFO)
 //   1. trace autostart (static init)  3. export the trace ring
-//   2. metrics exporter (static init) 2. final dump + join dump thread
-//   3. live servers (runtime)         1. shutdown(drain) stragglers
+//   2. live servers (runtime)         2. shutdown(drain) stragglers
+//   3. admin plane (re-fronted on     1. close the HTTP transport
+//      every server registration)
 //
-// so by the time the trace ring is exported and the metrics file gets
-// its final write, every server lane has joined and nothing records
-// concurrently. Hooks unregister themselves when their owner is
-// destroyed normally (a Server that died before exit runs nothing).
+// so by the time the trace ring is exported every server lane has
+// joined and nothing records concurrently. Hooks unregister themselves
+// when their owner is destroyed normally (a Server that died before
+// exit runs nothing).
 //
 // Hooks run exactly once, in LIFO registration order, on the first of:
 // process exit (atexit) or an explicit run_exit_hooks() call (tests).
@@ -44,13 +44,13 @@ void unregister_exit_hook(std::uint64_t token);
 void run_exit_hooks();
 
 /// Install SIGTERM/SIGINT handlers that run the exit-hook chain once
-/// — close the admin transport, drain live servers, final metrics
-/// dump, trace export — and then exit(0). run_exit_hooks() is not
-/// async-signal-safe, so the handler only writes one byte down a
-/// self-pipe; a watcher thread (spawned here, not in the handler) does
-/// the real work. The handlers install with SA_RESETHAND: a second
-/// signal while the drain is still running kills the process with the
-/// default disposition — the escape hatch against a hung drain.
+/// — close the admin transport, drain live servers, trace export —
+/// and then exit(0). run_exit_hooks() is not async-signal-safe, so
+/// the handler only writes one byte down a self-pipe; a watcher thread
+/// (spawned here, not in the handler) does the real work. The
+/// handlers install with SA_RESETHAND: a second signal while the drain
+/// is still running kills the process with the default disposition —
+/// the escape hatch against a hung drain.
 ///
 /// Idempotent; returns true when this call installed the handlers.
 /// Autostarts via NDIRECT_SIGNAL_SHUTDOWN=1 or as part of the

@@ -1,10 +1,8 @@
 #include "runtime/telemetry.h"
 
 #include <cstdio>
-#include <mutex>
 
 #include "runtime/env.h"
-#include "runtime/metrics.h"
 
 namespace ndirect {
 namespace {
@@ -45,7 +43,10 @@ std::string json_escape(const std::string& s) {
 }
 
 std::string json_string(const std::string& s) {
-  return "\"" + json_escape(s) + "\"";
+  std::string out = "\"";
+  out += json_escape(s);
+  out += '"';
+  return out;
 }
 
 }  // namespace
@@ -69,10 +70,6 @@ const char* counter_name(Counter c) {
     case Counter::kPmuStalledCycles: return "pmu_stalled_cycles";
     case Counter::kPmuPackL1DMisses: return "pmu_pack_l1d_misses";
     case Counter::kPmuMicroL1DMisses: return "pmu_micro_l1d_misses";
-    case Counter::kServeAdmitted: return "serve_admitted";
-    case Counter::kServeShedArrival: return "serve_shed_arrival";
-    case Counter::kServeShedQueue: return "serve_shed_queue";
-    case Counter::kServeBatches: return "serve_batches";
   }
   return "unknown";
 }
@@ -174,28 +171,6 @@ std::string TelemetrySnapshot::to_json() const {
   }
   s += "]}";
   return s;
-}
-
-void TelemetrySnapshot::publish_metrics() const {
-  if (workers.empty()) return;
-  // One registry counter per engine counter, resolved once per
-  // process (the handles are stable for the registry's lifetime) and
-  // then bumped with relaxed adds — safe from any thread.
-  static CounterCell* cells[kCounterCount];
-  static std::once_flag once;
-  std::call_once(once, [] {
-    MetricsRegistry& reg = MetricsRegistry::global();
-    for (int c = 0; c < kCounterCount; ++c) {
-      cells[c] = reg.counter(
-          std::string("ndirect_engine_") +
-              counter_name(static_cast<Counter>(c)),
-          {}, "engine telemetry counter re-exported per conv run");
-    }
-  });
-  for (int c = 0; c < kCounterCount; ++c) {
-    const std::uint64_t v = total(static_cast<Counter>(c));
-    if (v > 0) cells[c]->inc(v);
-  }
 }
 
 WorkerTelemetry::WorkerTelemetry(int workers)

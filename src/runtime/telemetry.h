@@ -60,18 +60,8 @@ enum class Counter : int {
   // pack, filter transform) so "is packing hidden?" is measurable.
   kPmuPackL1DMisses,   ///< L1D misses inside pack_window calls
   kPmuMicroL1DMisses,  ///< L1D misses in the compute/fused remainder
-  // Serving-layer events (serve/server.h). The server's registry uses
-  // slot 0 for the admission (submit) side — written by arbitrary
-  // caller threads, which relaxed fetch_add tolerates — and slots
-  // 1..E for its executor lanes.
-  kServeAdmitted,      ///< requests accepted into the request queue
-  kServeShedArrival,   ///< requests rejected at admission (predicted
-                       ///< deadline miss or stopped server)
-  kServeShedQueue,     ///< requests shed while queued (deadline
-                       ///< expired / non-drain shutdown)
-  kServeBatches,       ///< coalesced batches launched
 };
-inline constexpr int kCounterCount = 21;
+inline constexpr int kCounterCount = 17;
 
 /// Stable snake_case name used in JSON exports and reports.
 const char* counter_name(Counter c);
@@ -145,15 +135,6 @@ struct TelemetrySnapshot {
   /// Every string field is JSON-escaped; the output round-trips
   /// through a strict parser (python3 -m json.tool in CI).
   std::string to_json() const;
-
-  /// Re-export this snapshot's totals into the process-wide metrics
-  /// registry (runtime/metrics.h): one monotonic counter
-  /// `ndirect_engine_<counter_name>` per engine counter, incremented
-  /// by this snapshot's value. Call with per-run deltas only (the
-  /// engine's per-run snapshot, not an accumulating sink) — the
-  /// registry adds, it does not overwrite. No-op for an all-zero
-  /// snapshot; a handful of relaxed atomic adds otherwise.
-  void publish_metrics() const;
 };
 
 /// The live registry a run writes into: `workers` cache-line-padded

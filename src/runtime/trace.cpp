@@ -324,8 +324,8 @@ namespace {
 /// tracing for free). Master-gated by NDIRECT_TELEMETRY.
 ///
 /// The export runs through the runtime/shutdown.h hook chain, not a
-/// bare std::atexit: hooks registered later (the metrics dump thread,
-/// any live serve::Server) run first, so by the time the ring is
+/// bare std::atexit: hooks registered later (the admin plane, any
+/// live serve::Server) run first, so by the time the ring is
 /// exported every server lane has drained and joined and nothing is
 /// still recording (the old ordering depended on static-destruction
 /// luck).

@@ -100,7 +100,9 @@ HttpResponse handle_slo(const HttpRequest&) {
          s.slo().evaluate(now, s.slo_evidence())) {
       if (!first) body += ", ";
       first = false;
-      body += "\"" + json_escape(d) + "\"";
+      body += '"';
+      body += json_escape(d);
+      body += '"';
     }
     body += "]}";
   });
@@ -273,8 +275,8 @@ namespace {
 /// time (0 = ephemeral) and prints the bound address to stderr so
 /// scripts can scrape it; NDIRECT_ADMIN_BIND overrides the loopback
 /// bind. The same switch installs the SIGTERM/SIGINT graceful-shutdown
-/// handlers: a fleet sending SIGTERM gets drained servers and flushed
-/// exporters, not a mid-batch abort.
+/// handlers: a fleet sending SIGTERM gets drained servers and a
+/// flushed trace export, not a mid-batch abort.
 struct AdminAutostart {
   AdminAutostart() {
     const char* port = std::getenv("NDIRECT_ADMIN_PORT");

@@ -4,11 +4,12 @@
 // ServeInstruments resolves every instrument the server's hot paths
 // touch once, at server construction — submit/shed/complete then cost
 // a handful of relaxed atomic ops against process-wide cells in
-// runtime/metrics.h (scraped via NDIRECT_METRICS_FILE, SIGUSR2, or
-// Server::metrics_text()). The `server` label keeps multiple tenants
-// (one serve::Server per model) apart in one exposition; the batch-
-// size-labelled histogram families make coalescing behaviour visible
-// per size, not just on average.
+// runtime/metrics.h (scraped live from the admin plane's GET /metrics,
+// or read through Server::metrics_text()). They expose the same events
+// that Server::stats() counts exactly. The `server` label keeps
+// multiple tenants (one serve::Server per model) apart in one
+// exposition; the batch-size-labelled histogram families make
+// coalescing behaviour visible per size, not just on average.
 //
 // SloMonitor is the watchdog: it folds every request outcome into a
 // ring of one-second slices (timestamps come from the server's Clock,

@@ -242,7 +242,9 @@ std::string ServeReport::to_json() const {
   s += "], \"diagnoses\": [";
   for (std::size_t i = 0; i < diagnoses.size(); ++i) {
     if (i > 0) s += ", ";
-    s += "\"" + json_escape(diagnoses[i]) + "\"";
+    s += '"';
+    s += json_escape(diagnoses[i]);
+    s += '"';
   }
   s += "]}";
   return s;

@@ -45,11 +45,27 @@ struct ConvParams {
   }
 
   std::string to_string() const {
-    return "N" + std::to_string(N) + " C" + std::to_string(C) + " H" +
-           std::to_string(H) + " W" + std::to_string(W) + " K" +
-           std::to_string(K) + " R" + std::to_string(R) + "x" +
-           std::to_string(S) + " str" + std::to_string(str) + " pad" +
-           std::to_string(pad);
+    // Appended piecewise: a `"N" + std::to_string(N) + ...` chain makes
+    // GCC 12 emit spurious -Wrestrict at every inlined call site.
+    std::string s = "N";
+    s += std::to_string(N);
+    s += " C";
+    s += std::to_string(C);
+    s += " H";
+    s += std::to_string(H);
+    s += " W";
+    s += std::to_string(W);
+    s += " K";
+    s += std::to_string(K);
+    s += " R";
+    s += std::to_string(R);
+    s += "x";
+    s += std::to_string(S);
+    s += " str";
+    s += std::to_string(str);
+    s += " pad";
+    s += std::to_string(pad);
+    return s;
   }
 
   bool operator==(const ConvParams&) const = default;

@@ -239,7 +239,9 @@ TEST(HttpServerTest, OversizedRequestAnswers400) {
                                      std::string(4096, 'x'));
   // The server answers 400 as soon as the cap trips; depending on
   // timing the client may instead see the connection reset mid-send.
-  if (got.ok) EXPECT_EQ(got.status, 400);
+  if (got.ok) {
+    EXPECT_EQ(got.status, 400);
+  }
 }
 
 TEST(HttpServerTest, ConcurrentClientsAllAnswered) {

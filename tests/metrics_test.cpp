@@ -1,6 +1,6 @@
 // Metrics-plane tests: histogram bucket math, lock-free instruments,
-// registry semantics, OpenMetrics exposition, the exit-hook chain and
-// the background exporter (DESIGN.md §16).
+// registry semantics, OpenMetrics exposition and the exit-hook chain
+// (DESIGN.md §16).
 //
 // Everything here runs against the process-global registry, so each
 // test uses metric names prefixed with its own test name — get-or-
@@ -10,8 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
-#include <fstream>
 #include <random>
 #include <sstream>
 #include <thread>
@@ -19,8 +17,6 @@
 
 #include "runtime/metrics.h"
 #include "runtime/shutdown.h"
-#include "runtime/telemetry.h"
-#include "runtime/trace.h"
 
 namespace ndirect {
 namespace {
@@ -321,77 +317,6 @@ TEST(ExitHooksTest, HooksRegisteredDuringRunStillExecute) {
   });
   run_exit_hooks();
   EXPECT_TRUE(inner);
-}
-
-// ----------------------------------------------------------------------
-// MetricsExporter
-// ----------------------------------------------------------------------
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-TEST(MetricsExporterTest, DumpNowWritesTheGlobalExposition) {
-  MetricsRegistry::global()
-      .counter("metrics_test_dump_marker")
-      ->inc(41);
-  const std::string path =
-      testing::TempDir() + "metrics_test_dump.prom";
-  MetricsExporter& exp = MetricsExporter::global();
-  exp.start(path, /*interval_ms=*/3'600'000);  // no periodic firing
-  ASSERT_TRUE(exp.running());
-  const std::uint64_t before = exp.dump_count();
-  ASSERT_TRUE(exp.dump_now());
-  EXPECT_GT(exp.dump_count(), before);
-  const std::string text = read_file(path);
-  EXPECT_NE(text.find("metrics_test_dump_marker_total 41"),
-            std::string::npos);
-  EXPECT_NE(text.find("# EOF"), std::string::npos);
-  exp.stop();
-  EXPECT_FALSE(exp.running());
-  exp.stop();  // idempotent
-}
-
-TEST(MetricsExporterTest, FlightRecordExportsTraceRingToo) {
-  const std::string path =
-      testing::TempDir() + "metrics_test_flight.prom";
-  MetricsExporter& exp = MetricsExporter::global();
-  exp.start(path, /*interval_ms=*/3'600'000);
-  TraceSession& ts = TraceSession::global();
-  ts.start(1024);
-  ts.instant("metrics_test_flight_marker");
-  exp.flight_record();
-  ts.clear();
-  exp.stop();
-  EXPECT_NE(read_file(path).find("# EOF"), std::string::npos);
-  const std::string trace = read_file(path + ".trace.json");
-  EXPECT_NE(trace.find("metrics_test_flight_marker"),
-            std::string::npos);
-  std::remove((path + ".trace.json").c_str());
-}
-
-// ----------------------------------------------------------------------
-// Engine telemetry re-export
-// ----------------------------------------------------------------------
-
-TEST(PublishMetricsTest, SnapshotTotalsLandInRegistryCounters) {
-  TelemetrySnapshot snap;
-  snap.workers.resize(2);
-  snap.workers[0].v[static_cast<int>(Counter::kTilesClaimed)] = 3;
-  snap.workers[1].v[static_cast<int>(Counter::kTilesClaimed)] = 4;
-  CounterCell* cell = MetricsRegistry::global().counter(
-      "ndirect_engine_tiles_claimed");
-  const std::uint64_t before = cell->value();
-  snap.publish_metrics();
-  EXPECT_EQ(cell->value(), before + 7);
-  snap.publish_metrics();  // deltas add, they do not overwrite
-  EXPECT_EQ(cell->value(), before + 14);
-  TelemetrySnapshot empty;
-  empty.publish_metrics();  // no workers: no-op, no crash
-  EXPECT_EQ(cell->value(), before + 14);
 }
 
 }  // namespace

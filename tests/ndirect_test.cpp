@@ -494,21 +494,28 @@ TEST(NdirectEngine, RepeatedRunsAreDeterministic) {
   EXPECT_TRUE(allclose(a, b, 0.0, 0.0));  // bitwise identical
 }
 
-TEST(NdirectEngine, PhaseTimerRecordsTransformAndMicrokernel) {
+TEST(NdirectEngine, TelemetryRecordsTransformPackingAndMicrokernel) {
   if (!kTelemetryCompiled)
     GTEST_SKIP() << "phase timing needs NDIRECT_TELEMETRY=ON";
   const ConvParams p{.N = 1, .C = 16, .H = 12, .W = 12, .K = 16,
                      .R = 3, .S = 3, .str = 1, .pad = 1};
   const CaseData c = make_case(p, 31);
-  PhaseTimer pt;
-  NdirectOptions opts;
-  opts.threads = 1;
-  opts.fuse_packing = false;
-  opts.phase_timer = &pt;
-  (void)ndirect_conv(c.input, c.filter, p, opts);
-  EXPECT_GT(pt.seconds("transform"), 0.0);
-  EXPECT_GT(pt.seconds("packing"), 0.0);
-  EXPECT_GT(pt.seconds("micro-kernel"), 0.0);
+  for (int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    TelemetrySnapshot snap;
+    NdirectOptions opts;
+    opts.pool = &pool;
+    opts.threads = threads;
+    opts.fuse_packing = false;
+    opts.telemetry = &snap;
+    (void)ndirect_conv(c.input, c.filter, p, opts);
+    EXPECT_GT(snap.phase_seconds(Counter::kTransformNs), 0.0)
+        << "threads=" << threads;
+    EXPECT_GT(snap.phase_seconds(Counter::kPackNs), 0.0)
+        << "threads=" << threads;
+    EXPECT_GT(snap.phase_seconds(Counter::kMicrokernelNs), 0.0)
+        << "threads=" << threads;
+  }
 }
 
 TEST(NdirectEngine, FusedModeFoldsPackingIntoMicrokernelPhase) {
@@ -517,14 +524,19 @@ TEST(NdirectEngine, FusedModeFoldsPackingIntoMicrokernelPhase) {
   const ConvParams p{.N = 1, .C = 16, .H = 12, .W = 12, .K = 16,
                      .R = 3, .S = 3, .str = 1, .pad = 1};
   const CaseData c = make_case(p, 32);
-  PhaseTimer pt;
-  NdirectOptions opts;
-  opts.threads = 1;
-  opts.fuse_packing = true;
-  opts.phase_timer = &pt;
-  (void)ndirect_conv(c.input, c.filter, p, opts);
-  EXPECT_EQ(pt.seconds("packing"), 0.0);
-  EXPECT_GT(pt.seconds("micro-kernel"), 0.0);
+  for (int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    TelemetrySnapshot snap;
+    NdirectOptions opts;
+    opts.pool = &pool;
+    opts.threads = threads;
+    opts.fuse_packing = true;
+    opts.telemetry = &snap;
+    (void)ndirect_conv(c.input, c.filter, p, opts);
+    EXPECT_EQ(snap.total(Counter::kPackNs), 0u) << "threads=" << threads;
+    EXPECT_GT(snap.phase_seconds(Counter::kMicrokernelNs), 0.0)
+        << "threads=" << threads;
+  }
 }
 
 TEST(NdirectEngine, ManyThreadConfigurationsAgree) {

@@ -132,7 +132,9 @@ TEST(PmuHardware, CountsInstructionsAcrossParallelWork) {
   });
   // pmu_available() means groups open; each thread measured its own.
   EXPECT_GT(active_groups.load(), 0);
-  if (instr_groups.load() > 0) EXPECT_GT(total_instr.load(), 0u);
+  if (instr_groups.load() > 0) {
+    EXPECT_GT(total_instr.load(), 0u);
+  }
 }
 
 // ----------------------------------------------------------------------

@@ -422,9 +422,9 @@ TEST(ScratchArena, GlobalGrowCounterTracksGrowth) {
 TEST(Timer, MeasuresMonotonicallyIncreasingTime) {
   WallTimer t;
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   const double first = t.seconds();
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   const double second = t.seconds();
   EXPECT_GE(first, 0.0);
   EXPECT_GE(second, first);
@@ -449,7 +449,7 @@ TEST(PhaseTimer, ScopeAddsElapsedTime) {
   {
     auto scope = pt.scope("work");
     volatile double sink = 0;
-    for (int i = 0; i < 10000; ++i) sink += i;
+    for (int i = 0; i < 10000; ++i) sink = sink + i;
   }
   EXPECT_GT(pt.seconds("work"), 0.0);
 }

@@ -553,19 +553,24 @@ TEST(ServerTest, FifoPrefixBatchingWithinOneDeadlineClass) {
 TEST(ServerTest, ShedsOnArrivalWhenModelPredictsMiss) {
   // predict(1) = 10ms against a 1ms budget: reject at the door.
   ServerOptions opts;
+  opts.name = "shed-arrival";
   Harness h(opts, /*base_ns=*/10 * kMs);
   std::future<ServeResult> f = h.server.submit(make_image(1), 1 * kMs);
   EXPECT_EQ(shed_reason_of(f), ShedReason::kAdmission);
   const ServerStatsSnapshot s = h.server.stats();
   EXPECT_EQ(s.shed_admission, 1u);
+  EXPECT_EQ(s.shed_total(), 1u);  // nothing took the queue-side paths
   EXPECT_EQ(s.admitted, 0u);
-  EXPECT_EQ(
-      h.server.telemetry().total(Counter::kServeShedArrival), 1u);
+  EXPECT_EQ(h.server.instruments()
+                ->shed[static_cast<int>(ShedReason::kAdmission)]
+                ->value(),
+            1u);
   expect_conserved(s);
 }
 
 TEST(ServerTest, AdmissionControlOffShedsInQueueInstead) {
   ServerOptions opts;
+  opts.name = "shed-queue";
   opts.admission_control = false;
   Harness h(opts, /*base_ns=*/10 * kMs);
   std::future<ServeResult> f = h.server.submit(make_image(1), 1 * kMs);
@@ -573,7 +578,11 @@ TEST(ServerTest, AdmissionControlOffShedsInQueueInstead) {
   const ServerStatsSnapshot s = h.server.stats();
   EXPECT_EQ(s.admitted, 1u);
   EXPECT_EQ(s.shed_expired, 1u);
-  EXPECT_EQ(h.server.telemetry().total(Counter::kServeShedQueue), 1u);
+  EXPECT_EQ(s.shed_total(), 1u);  // shed in the queue, not at the door
+  EXPECT_EQ(h.server.instruments()
+                ->shed[static_cast<int>(ShedReason::kDeadlineExpired)]
+                ->value(),
+            1u);
   expect_conserved(s);
 }
 
@@ -693,6 +702,7 @@ TEST(ServerTest, RejectsMalformedInputShapes) {
 
 TEST(ServerTest, TelemetryCountersMirrorStats) {
   ServerOptions opts;
+  opts.name = "telemetry-mirror";
   opts.max_batch = 2;
   Harness h(opts);
   std::vector<std::future<ServeResult>> futs;
@@ -704,12 +714,15 @@ TEST(ServerTest, TelemetryCountersMirrorStats) {
   EXPECT_EQ(shed_reason_of(rejected), ShedReason::kAdmission);
 
   const ServerStatsSnapshot s = h.server.stats();
-  const WorkerTelemetry& t = h.server.telemetry();
-  EXPECT_EQ(t.total(Counter::kServeAdmitted), s.admitted);
-  EXPECT_EQ(t.total(Counter::kServeShedArrival), s.shed_admission);
-  EXPECT_EQ(t.total(Counter::kServeBatches), s.batches);
-  EXPECT_EQ(t.value(0, Counter::kServeAdmitted), s.admitted)
-      << "admission events belong to slot 0";
+  const ServeInstruments* obs = h.server.instruments();
+  ASSERT_NE(obs, nullptr);
+  EXPECT_EQ(s.admitted, 2u);
+  EXPECT_EQ(s.shed_admission, 1u);
+  EXPECT_EQ(s.batches, 1u);
+  EXPECT_EQ(obs->admitted->value(), s.admitted);
+  EXPECT_EQ(obs->shed[static_cast<int>(ShedReason::kAdmission)]->value(),
+            s.shed_admission);
+  EXPECT_EQ(obs->batches->value(), s.batches);
   expect_conserved(s);
 }
 
@@ -982,6 +995,34 @@ TEST(ObservabilityTest, InstrumentsMirrorStatsLedger) {
       text.find("ndirect_serve_requests_total{server=\"obs-ledger\"} 5"),
       std::string::npos);
   EXPECT_NE(text.find("# EOF"), std::string::npos);
+
+  // The queue-side shed paths: a feasible request the clock jumps past
+  // expires in the queue; a lingering one is dropped by a non-drain
+  // shutdown, and one submitted after it is shed at the door.
+  std::future<ServeResult> expired =
+      h.server.submit(make_image(10), 10 * kMs);
+  h.clock.advance(20 * kMs);
+  EXPECT_EQ(shed_reason_of(expired), ShedReason::kDeadlineExpired);
+  std::future<ServeResult> dropped =
+      h.server.submit(make_image(11), 100 * kMs);
+  h.server.shutdown(/*drain=*/false);
+  EXPECT_EQ(shed_reason_of(dropped), ShedReason::kShutdown);
+  std::future<ServeResult> late = h.server.submit(make_image(12), kNeverNs);
+  EXPECT_EQ(shed_reason_of(late), ShedReason::kShutdown);
+
+  const ServerStatsSnapshot after = h.server.stats();
+  EXPECT_EQ(after.shed_expired, 1u);
+  EXPECT_EQ(after.shed_shutdown, 2u);
+  EXPECT_EQ(obs->submitted->value(), after.submitted);
+  EXPECT_EQ(obs->admitted->value(), after.admitted);
+  auto shed_cell = [obs](ShedReason r) {
+    return obs->shed[static_cast<int>(r)]->value();
+  };
+  EXPECT_EQ(shed_cell(ShedReason::kAdmission), after.shed_admission);
+  EXPECT_EQ(shed_cell(ShedReason::kDeadlineExpired), after.shed_expired);
+  EXPECT_EQ(shed_cell(ShedReason::kShutdown), after.shed_shutdown);
+  EXPECT_EQ(obs->queue_depth->value(), 0);
+  expect_conserved(after);
 }
 
 TEST(ObservabilityTest, ObserveOffStaysOutOfTheRegistry) {
@@ -1043,10 +1084,9 @@ TEST(ObservabilityTest, ServeSpansCarryRequestIds) {
 }
 
 TEST(ObservabilityTest, ExitHookDrainsLiveServerBeforeExporters) {
-  // Satellite-6 regression test: a server still alive when the exit
-  // chain runs is drained by its hook (LIFO: servers before the
-  // metrics/trace exporters), and its later destruction is a clean
-  // no-op double-shutdown.
+  // A server still alive when the exit chain runs is drained by its
+  // hook (LIFO: servers before the trace exporter), and its later
+  // destruction is a clean no-op double-shutdown.
   ServerOptions opts;
   opts.name = "obs-exit";
   auto h = std::make_unique<Harness>(opts);

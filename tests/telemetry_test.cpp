@@ -196,33 +196,6 @@ TEST(EngineTelemetry, SerialRunMatchesSerialOracle) {
   EXPECT_GT(snap.phase_seconds(Counter::kMicrokernelNs), 0.0);
 }
 
-TEST(EngineTelemetry, PhaseTimerWorksAtAnyWorkerCount) {
-  if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
-  const ConvParams p = medium_conv();
-  const ConvData d = make_data(p, 9);
-  ThreadPool pool(4);
-
-  PhaseTimer pt;
-  TelemetrySnapshot snap;
-  NdirectOptions opts;
-  opts.pool = &pool;
-  opts.threads = 4;  // the seed only supported phase timing at 1 thread
-  opts.fuse_packing = false;
-  opts.phase_timer = &pt;
-  opts.telemetry = &snap;
-  (void)ndirect_conv(d.input, d.filter, p, opts);
-
-  EXPECT_GT(pt.seconds("transform"), 0.0);
-  EXPECT_GT(pt.seconds("packing"), 0.0);
-  EXPECT_GT(pt.seconds("micro-kernel"), 0.0);
-  // The compatibility view is an aggregation of the per-worker phase
-  // counters, not an independent measurement.
-  EXPECT_DOUBLE_EQ(pt.seconds("micro-kernel"),
-                   snap.phase_seconds(Counter::kMicrokernelNs));
-  EXPECT_DOUBLE_EQ(pt.seconds("transform"),
-                   snap.phase_seconds(Counter::kTransformNs));
-}
-
 TEST(EngineTelemetry, RuntimeDisableClearsSinkAndRecordsNothing) {
   TelemetryGuard guard;
   const ConvParams p = medium_conv();
