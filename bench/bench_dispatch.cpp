@@ -8,11 +8,9 @@
 //   1. thread-pool round-trip: latency of run() with empty tasks, for
 //      the spin-then-park dispatch vs. the park-immediately fallback
 //      (NDIRECT_POOL_SPIN=0, the seed's mutex+condvar behaviour),
-//   2. single-layer conv latency (p50/p95) in the seed configuration
-//      (per-call heap allocation of pack/ftile, on-the-fly filter
-//      transform every call, parked pool) vs. the inference-opt
-//      configuration (persistent scratch arena, cached packed filter,
-//      spinning pool),
+//   2. single-layer conv latency (p50/p95) in the inference
+//      configuration (cached packed filter, spinning pool; the pack
+//      buffers always come from the persistent scratch arena),
 //   3. proof that steady-state opt-mode calls run zero filter
 //      transforms and zero arena growths.
 //
@@ -91,7 +89,7 @@ int main() {
             w);
 
   // ------------------------------------------------------------------
-  // 2. Small-layer conv latency: seed vs. inference-opt configuration.
+  // 2. Small-layer conv latency in the inference configuration.
   //    ResNet-50 conv5_x (7x7 spatial), N=1 — the paper's hardest case
   //    for fixed costs. Channels shrink 4x in quick mode.
   // ------------------------------------------------------------------
@@ -104,12 +102,6 @@ int main() {
   fill_random(input, 11);
   fill_random(filter, 12);
 
-  NdirectOptions seed_opts;
-  seed_opts.persistent_scratch = false;  // heap-alloc pack/ftile per call
-  seed_opts.cache_packed_filter = false;  // transform per call
-  seed_opts.pool = &park_pool;
-  const NdirectConv seed_conv(layer, seed_opts);
-
   NdirectOptions opt_opts;
   opt_opts.cache_packed_filter = true;
   opt_opts.pool = &spin_pool;
@@ -117,9 +109,6 @@ int main() {
   opt_conv.prepare_filter(filter.data());  // pack once, ahead of serving
 
   const int conv_reps = cfg.full ? 3000 : 500;
-  const Percentiles lat_seed = time_calls(
-      [&] { seed_conv.run_into(input.data(), filter.data(), out.data()); },
-      conv_reps);
   const Percentiles lat_opt = time_calls(
       [&] { opt_conv.run_into(input.data(), filter.data(), out.data()); },
       conv_reps);
@@ -127,20 +116,8 @@ int main() {
   std::printf("\n[measured] conv5_x-style layer %s, N=1 (%d reps):\n",
               layer.to_string().c_str(), conv_reps);
   print_row({"configuration", "p50 (us)", "p95 (us)"}, w);
-  print_row({"seed (alloc+transform+park)", fmt(lat_seed.p50, 1),
-             fmt(lat_seed.p95, 1)}, w);
   print_row({"inference-opt", fmt(lat_opt.p50, 1), fmt(lat_opt.p95, 1)},
             w);
-
-  // Fixed-overhead estimate: the optimized configuration's kernel work
-  // is identical (same plan, same micro-kernels), so the latency delta
-  // IS the per-call fixed cost removed; the dispatch round-trip delta
-  // bounds the pool's share of it.
-  const double overhead_removed_us = lat_seed.p50 - lat_opt.p50;
-  const double overhead_ratio =
-      lat_opt.p50 > 0 ? lat_seed.p50 / lat_opt.p50 : 0;
-  std::printf("\nper-call cost removed: %.1f us (p50 ratio %.2fx)\n",
-              overhead_removed_us, overhead_ratio);
 
   // ------------------------------------------------------------------
   // 3. Steady-state hygiene: no transforms, no arena growth.
@@ -172,10 +149,7 @@ int main() {
   report.add_raw("round_trip_spin_us", pcts(rt_spin));
   report.add_raw("round_trip_park_us", pcts(rt_park));
   report.add("layer", layer.to_string());
-  report.add_raw("conv_seed_us", pcts(lat_seed));
   report.add_raw("conv_opt_us", pcts(lat_opt));
-  report.add("fixed_overhead_removed_us", overhead_removed_us);
-  report.add("p50_ratio", overhead_ratio);
   report.add("steady_state_transforms", transforms);
   report.add("steady_state_arena_growths", grows);
   report.write();

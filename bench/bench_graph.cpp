@@ -6,11 +6,9 @@
 // cannot fill the machine from one conv, so op-at-a-time execution
 // leaves cores idle exactly where the paper's Fig. 7 end-to-end numbers
 // hurt most. The concurrent executor runs both branches at once on ONE
-// shared pool: each conv seeds a sub-rectangle of the worker grid
-// (plan_concurrency) and exposes the rest of the pool as pure stealer
-// tasks, so a core that drains one branch's tiles steals the sibling's
-// ("idle-core soak", observable as steal events). Outputs are verified
-// bitwise-identical before timing.
+// shared pool: each conv dispatches its whole worker grid, and the
+// re-entrant pool hands a worker whose task ends the sibling branch's
+// pending tasks. Outputs are verified bitwise-identical before timing.
 //
 // On single-core hosts the comparison degenerates to executor overhead
 // (speedup ~<= 1); the speedup column is meaningful on multi-core
@@ -69,7 +67,6 @@ struct Result {
 Result run_case(int batch, ThreadPool& pool, const BenchConfig& cfg) {
   auto g = build_split_block(batch);
   g->set_conv_pool(&pool);
-  g->plan_concurrency();
   const TensorShape& s = g->shape_of(0);
   Tensor input = make_input_nchw(s.N, s.C, s.H, s.W);
   fill_random(input, 42);

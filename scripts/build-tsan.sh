@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# One-command ThreadSanitizer pass over the threading-labelled suite
-# (scheduler, thread pool, engine): configure build-tsan/, build it, and
-# run `ctest -L threading` with halt_on_error. Equivalent to
+# One-command ThreadSanitizer pass over the threading- and
+# quantized-labelled suites (scheduler, thread pool, both conv engines):
+# configure build-tsan/, build it, and run `ctest -L
+# 'threading|quantized'` with halt_on_error. Equivalent to
 # `cmake --workflow --preset tsan`; kept as a script so CI and shells
 # without preset support can call it the same way.
 set -euo pipefail

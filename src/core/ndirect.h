@@ -5,7 +5,9 @@
 // repacks only the (small) filter tensor on the fly, and reaches high
 // utilization through an FAI-maximal register-blocked micro-kernel,
 // cache-derived loop tiling, latency-hiding fused input packing, and an
-// analytically derived PTn x PTk thread mapping.
+// analytically derived PTn x PTk thread mapping. Each run's tiles go
+// through the tile driver (core/tile_driver.h) that the int8 engine
+// shares: stealing scheduler, scratch arenas and telemetry.
 //
 // Typical use:
 //
@@ -29,6 +31,9 @@
 #include "tensor/tensor.h"
 
 namespace ndirect {
+
+template <typename Packed>
+class PackedFilterCache;  // core/filter_transform.h
 
 /// Everything the planner derived for a shape; exposed for inspection,
 /// tests and the model-ablation bench.
@@ -85,13 +90,6 @@ struct NdirectOptions {
   /// figure benches measure that path.
   bool cache_packed_filter = false;
 
-  /// Take the workers' pack/filter-tile buffers from the per-OS-thread
-  /// persistent scratch arena (runtime/scratch.h) instead of
-  /// heap-allocating them on every call. On steady-state calls the loop
-  /// nest then performs zero heap allocations. Off reproduces the seed's
-  /// per-call allocation behaviour (A/B benching of the fixed overhead).
-  bool persistent_scratch = true;
-
   /// Force the register block instead of solving Eq. 3/4 (ablation and
   /// auto-tuner use). Zero fields mean "solve".
   RegisterBlock force_rb{0, 0};
@@ -128,18 +126,6 @@ struct NdirectOptions {
   /// Thread count for the PTn x PTk grid; 0 = the pool's size.
   int threads = 0;
 
-  /// Extra pure-stealer workers dispatched beyond the seeded grid (and
-  /// beyond the non-divisor leftover the solver already adds). The graph
-  /// executor uses this to seed a conv with a sub-rectangle of the pool
-  /// (`threads` = its share of the workers) while still exposing one
-  /// task per remaining pool thread: a core that finishes — or never
-  /// had — work in a sibling branch claims one of these tasks and
-  /// drains this conv's unfinished tiles through the stealing scheduler.
-  /// Stealers never change results (tiles own disjoint output blocks);
-  /// ignored under SchedulePolicy::kStatic. Only meaningful when
-  /// stealing is on.
-  int extra_stealers = 0;
-
   ThreadPool* pool = nullptr;          ///< nullptr = global pool
   const CacheInfo* cache = nullptr;    ///< nullptr = probed host cache
   double alpha = 0;                    ///< 0 = measured host alpha
@@ -150,8 +136,9 @@ struct NdirectOptions {
   /// Fig. 5, valid at any worker count), cache hits, and the run's
   /// wall time (the input to build_conv_report). Overwritten every
   /// run; cleared to an empty snapshot when telemetry is disabled.
-  /// Like sched_stats, point concurrent runs of one engine at distinct
-  /// sinks or leave null.
+  /// Int8ConvOptions::telemetry is filled the same way. Like
+  /// sched_stats, point concurrent runs of one engine at distinct sinks
+  /// or leave null.
   TelemetrySnapshot* telemetry = nullptr;
 };
 
@@ -219,13 +206,18 @@ class NdirectConv {
   bool filter_cache_warm(const float* filter) const;
 
  private:
-  struct FilterCache;  ///< engine.cpp; shared so the engine stays copyable
+  /// The whole-filter KPacked copy a run reads: the cached one, a
+  /// one-run copy held in `aot` (aot_filter), or nullptr (transform per
+  /// tile). `*cache_hit` tells whether the cache served it unpacked.
+  const float* packed_filter(const float* filter, Tensor& aot,
+                             bool* cache_hit) const;
 
   ConvParams params_;
   ConvParams exec_;
   NdirectOptions options_;
   NdirectPlan plan_;
-  std::shared_ptr<FilterCache> fcache_;
+  /// Shared so copies of the engine share one cache.
+  std::shared_ptr<PackedFilterCache<Tensor>> fcache_;
 };
 
 /// One-shot convenience wrapper around NdirectConv.

@@ -1,7 +1,6 @@
 #include "core/quantized.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -9,8 +8,8 @@
 
 #include "core/fai.h"
 #include "core/filter_transform.h"
+#include "core/tile_driver.h"
 #include "runtime/aligned_buffer.h"
-#include "runtime/scratch.h"
 #include "simd/vec128.h"
 #include "simd/vec128_int8.h"
 
@@ -397,11 +396,8 @@ QuantizedFilterI8 quantize_filter_i8(const float* filter,
 /// Packed filter: [kb][c4][R][S][vk][4] s8 (K zero-padded to vk, C to
 /// 4) plus per-k filter-tap sums (the zero-point compensation base).
 struct Int8Conv::PackedFilter {
-  const std::int8_t* key = nullptr;
-  std::uint64_t fp = 0;  ///< filter_fingerprint of the source at pack time
   AlignedBuffer<std::int8_t> data;
   std::vector<std::int32_t> rowsum;  ///< K: sum of filter k's s8 taps
-  explicit PackedFilter(std::size_t bytes) : data(bytes) {}
 };
 
 namespace {
@@ -420,9 +416,6 @@ I8ExecShape i8_exec_shape(const ConvParams& p) {
   }
   return {p.H, p.W, p.P(), p.Q()};
 }
-
-std::shared_ptr<Int8Conv::PackedFilter> i8_pack_filter(
-    const std::int8_t* filter, const ConvParams& p, int vk);
 
 /// Pack one input window: [c4][R][rowbytes] with every byte XORed with
 /// 0x80 (u - 128 as s8). Spatial padding and the c >= C channel lanes
@@ -513,18 +506,17 @@ void i8_store_tile(const Int8Epilogue& ep, const Int8Output& out,
   }
 }
 
-std::shared_ptr<Int8Conv::PackedFilter> i8_pack_filter(
-    const std::int8_t* filter, const ConvParams& p, int vk) {
+Int8Conv::PackedFilter i8_pack_filter(const std::int8_t* filter,
+                                      const ConvParams& p, int vk) {
   const std::int64_t c4 = (p.C + 3) / 4;
   const std::int64_t kb_count = (p.K + vk - 1) / vk;
   const std::int64_t rs = std::int64_t{p.R} * p.S;
   const std::int64_t crs = std::int64_t{p.C} * rs;
   const std::int64_t tile = c4 * rs * vk * 4;  // bytes per kb
-  auto pf = std::make_shared<Int8Conv::PackedFilter>(
-      static_cast<std::size_t>(kb_count * tile));
-  pf->key = filter;
-  pf->data.fill_zero();
-  pf->rowsum.assign(static_cast<std::size_t>(p.K), 0);
+  Int8Conv::PackedFilter pf;
+  pf.data.reset(static_cast<std::size_t>(kb_count * tile));
+  pf.data.fill_zero();
+  pf.rowsum.assign(static_cast<std::size_t>(p.K), 0);
   for (int k = 0; k < p.K; ++k) {
     const std::int64_t kb = k / vk, ki = k % vk;
     std::int32_t sum = 0;
@@ -533,13 +525,13 @@ std::shared_ptr<Int8Conv::PackedFilter> i8_pack_filter(
       const std::int8_t* src = filter + k * crs + c * rs;
       // dst tap (kb, g, r, s): vector byte ki*4 + j of the vk*4 block.
       std::int8_t* dst =
-          pf->data.data() + kb * tile + g * rs * vk * 4 + ki * 4 + j;
+          pf.data.data() + kb * tile + g * rs * vk * 4 + ki * 4 + j;
       for (std::int64_t e = 0; e < rs; ++e) {
         dst[e * vk * 4] = src[e];
         sum += src[e];
       }
     }
-    pf->rowsum[static_cast<std::size_t>(k)] = sum;
+    pf.rowsum[static_cast<std::size_t>(k)] = sum;
   }
   return pf;
 }
@@ -547,7 +539,9 @@ std::shared_ptr<Int8Conv::PackedFilter> i8_pack_filter(
 }  // namespace
 
 Int8Conv::Int8Conv(const ConvParams& p, const Int8ConvOptions& opt)
-    : p_(p), opt_(opt) {
+    : p_(p),
+      opt_(opt),
+      cache_(std::make_unique<PackedFilterCache<PackedFilter>>()) {
   rb_ = (opt_.force_block.vw > 0 && opt_.force_block.vk > 0)
             ? opt_.force_block
             : solve_register_block(p_.S);
@@ -560,18 +554,15 @@ Int8Backend Int8Conv::backend() const {
   return kres_.fn != nullptr ? kres_.backend : Int8Backend::kScalar;
 }
 
+const Int8Conv::PackedFilter& Int8Conv::cached_filter(
+    const std::int8_t* filter, bool* cache_hit) const {
+  return cache_->get(
+      filter, static_cast<std::size_t>(p_.filter_elems()),
+      [&] { return i8_pack_filter(filter, p_, rb_.vk); }, cache_hit);
+}
+
 void Int8Conv::prepare_filter(const std::int8_t* filter) const {
-  const std::uint64_t fp = filter_fingerprint(
-      filter, static_cast<std::size_t>(p_.filter_elems()));
-  std::lock_guard<std::mutex> lock(mu_);
-  // Same pointer, different contents (in-place edit, or a freed filter
-  // whose address was reused): re-pack rather than serve stale taps.
-  if (packed_ != nullptr && packed_->key == filter && packed_->fp == fp) {
-    return;
-  }
-  auto pf = i8_pack_filter(filter, p_, rb_.vk);
-  pf->fp = fp;
-  packed_ = std::move(pf);
+  if (opt_.cache_packed_filter) (void)cached_filter(filter, nullptr);
 }
 
 void Int8Conv::run(const std::uint8_t* input, int in_zero_point,
@@ -581,17 +572,15 @@ void Int8Conv::run(const std::uint8_t* input, int in_zero_point,
   assert((out.i32 != nullptr) + (out.s8 != nullptr) +
              (out.f32 != nullptr) ==
          1);
-  std::shared_ptr<const PackedFilter> pf;
+  PackedFilter uncached;
+  bool cache_hit = false;
+  const PackedFilter* pf = &uncached;
   if (opt_.cache_packed_filter) {
-    prepare_filter(filter);
-    std::lock_guard<std::mutex> lock(mu_);
-    pf = packed_;
+    pf = &cached_filter(filter, &cache_hit);
   } else {
-    pf = i8_pack_filter(filter, p_, rb_.vk);
+    uncached = i8_pack_filter(filter, p_, rb_.vk);
   }
 
-  ThreadPool& tp =
-      opt_.pool != nullptr ? *opt_.pool : ThreadPool::global();
   const int vw = rb_.vw, vk = rb_.vk;
   const I8ExecShape ex = i8_exec_shape(p_);
   const int packw = (vw - 1) * p_.str + p_.S;
@@ -613,78 +602,81 @@ void Int8Conv::run(const std::uint8_t* input, int in_zero_point,
         (128 - in_zero_point) * pf->rowsum[static_cast<std::size_t>(k)];
   }
 
+  // A work unit is one (exec row, Vw column tile) with every K block
+  // inside it, so the grid is one column wide (ptk = 1). Units are
+  // seeded as contiguous per-worker ranges and idle workers steal.
   const I8KernelFn fn = kres_.fn;
   const int tq = (ex.Q + vw - 1) / vw;
   const std::int64_t tiles_per_image = std::int64_t{ex.P} * tq;
-  const std::int64_t total = p_.N * tiles_per_image;
-  std::atomic<std::uint64_t> kernel_calls{0};
-  std::atomic<std::uint64_t> generic_calls{0};
+  const std::int64_t units = p_.N * tiles_per_image;
+  const ThreadPool& pool =
+      opt_.pool != nullptr ? *opt_.pool : ThreadPool::global();
+  const int workers = static_cast<int>(
+      std::min<std::int64_t>(units, static_cast<std::int64_t>(pool.size())));
+  TileRun run;
+  run.rows = static_cast<int>(units);
+  run.cols = 1;
+  run.row_parts = workers;
+  run.workers = workers;
+  run.scratch_floats[0] = static_cast<std::size_t>(c4) * p_.R * rowbytes / 4;
+  run.scratch_floats[1] = static_cast<std::size_t>(vw) * vk;
+  run.cache_hits = cache_hit ? 1 : 0;
+  run.span = "int8.run";
+  run.pool = opt_.pool;
+  run.telemetry = opt_.telemetry;
 
-  tp.parallel_for(
-      static_cast<std::size_t>(total),
-      [&](std::size_t begin, std::size_t end) {
-        const ScratchDepth depth;
-        ScratchArena& arena = this_thread_scratch();
-        const std::size_t pack_bytes =
-            static_cast<std::size_t>(c4) * p_.R * rowbytes;
-        auto* pack = reinterpret_cast<std::int8_t*>(arena.floats(
-            depth.level(), ScratchSlot::kAux0, pack_bytes / 4));
-        auto* acc = reinterpret_cast<std::int32_t*>(
-            arena.floats(depth.level(), ScratchSlot::kAux1,
-                         static_cast<std::size_t>(vw) * vk));
-        std::uint64_t local_calls = 0, local_generic = 0;
-        for (std::size_t t = begin; t < end; ++t) {
-          const auto ti = static_cast<std::int64_t>(t);
-          const std::int64_t n = ti / tiles_per_image;
-          const std::int64_t rem = ti % tiles_per_image;
-          const int oh = static_cast<int>(rem / tq);
-          const int wv = static_cast<int>(rem % tq) * vw;
-          const int wn = std::min(vw, ex.Q - wv);
-          const std::uint8_t* image =
-              input + n * std::int64_t{p_.C} * ex.H * ex.W;
-          const std::int64_t out_base =
-              n * std::int64_t{p_.K} * k_stride +
-              std::int64_t{oh} * ex.Q + wv;
+  drive_tiles(run, [&]<bool kCollect>(TileWorker<kCollect>& w, int unit,
+                                       int) {
+    auto* pack = reinterpret_cast<std::int8_t*>(w.scratch[0]);
+    auto* acc = reinterpret_cast<std::int32_t*>(w.scratch[1]);
+    const std::int64_t n = unit / tiles_per_image;
+    const std::int64_t rem = unit % tiles_per_image;
+    const int oh = static_cast<int>(rem / tq);
+    const int wv = static_cast<int>(rem % tq) * vw;
+    const int wn = std::min(vw, ex.Q - wv);
+    const std::uint8_t* image = input + n * std::int64_t{p_.C} * ex.H * ex.W;
+    const std::int64_t out_base =
+        n * std::int64_t{p_.K} * k_stride + std::int64_t{oh} * ex.Q + wv;
 
-          i8_pack_window(pack, image, p_.C, ex.H, ex.W, c4, p_.R,
-                         oh * p_.str - p_.pad, wv * p_.str - p_.pad,
-                         packw, rowbytes, border);
-          for (std::int64_t kb = 0; kb < kb_count; ++kb) {
-            const std::int64_t kv = kb * vk;
-            const int kn =
-                static_cast<int>(std::min<std::int64_t>(vk, p_.K - kv));
-            I8MicroArgs a;
-            a.pack = pack;
-            a.pack_c4_stride = std::int64_t{p_.R} * rowbytes;
-            a.pack_r_stride = rowbytes;
-            a.ftile = pf->data.data() + kb * ftile_stride;
-            a.f_c4_stride = std::int64_t{p_.R} * p_.S * vk * 4;
-            a.c4 = c4;
-            a.R = p_.R;
-            a.S = p_.S;
-            a.str = p_.str;
-            a.packw = packw;
-            a.acc = acc;
-            ++local_calls;
-            if (fn != nullptr) {
-              fn(a);
-            } else {
-              ++local_generic;
-              int8_kernel_generic(a, vw, vk);
-            }
-            i8_store_tile(ep, out, acc, comp.data(), vw, wn, kn, kv,
-                          k_stride, out_base);
-          }
+    w.pack([&] {
+      i8_pack_window(pack, image, p_.C, ex.H, ex.W, c4, p_.R,
+                     oh * p_.str - p_.pad, wv * p_.str - p_.pad, packw,
+                     rowbytes, border);
+    });
+    w.micro([&] {
+      for (std::int64_t kb = 0; kb < kb_count; ++kb) {
+        const std::int64_t kv = kb * vk;
+        const int kn =
+            static_cast<int>(std::min<std::int64_t>(vk, p_.K - kv));
+        I8MicroArgs a;
+        a.pack = pack;
+        a.pack_c4_stride = std::int64_t{p_.R} * rowbytes;
+        a.pack_r_stride = rowbytes;
+        a.ftile = pf->data.data() + kb * ftile_stride;
+        a.f_c4_stride = std::int64_t{p_.R} * p_.S * vk * 4;
+        a.c4 = c4;
+        a.R = p_.R;
+        a.S = p_.S;
+        a.str = p_.str;
+        a.packw = packw;
+        a.acc = acc;
+        if (fn != nullptr) {
+          fn(a);
+        } else {
+          ++w.generic_calls;
+          int8_kernel_generic(a, vw, vk);
         }
-        kernel_calls.fetch_add(local_calls, std::memory_order_relaxed);
-        generic_calls.fetch_add(local_generic,
-                                std::memory_order_relaxed);
-      });
+        i8_store_tile(ep, out, acc, comp.data(), vw, wn, kn, kv, k_stride,
+                      out_base);
+      }
+    });
+  });
 
   if (stats != nullptr) {
-    stats->tiles = kernel_calls.load(std::memory_order_relaxed);
-    stats->generic_fallback =
-        generic_calls.load(std::memory_order_relaxed);
+    // Both counts are fixed by the geometry: every unit runs every K
+    // block, all through the generic kernel when none resolved.
+    stats->tiles = static_cast<std::uint64_t>(units * kb_count);
+    stats->generic_fallback = fn == nullptr ? stats->tiles : 0;
     stats->backend = backend();
     stats->vw = vw;
     stats->vk = vk;

@@ -22,14 +22,17 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/quantized_microkernel.h"
+#include "runtime/telemetry.h"
 #include "runtime/thread_pool.h"
 #include "tensor/conv_params.h"
 
 namespace ndirect {
+
+template <typename Packed>
+class PackedFilterCache;  // core/filter_transform.h
 
 struct QuantizedTensor {
   std::vector<std::int16_t> values;
@@ -145,18 +148,26 @@ struct Int8ConvOptions {
   /// is set).
   Int8Backend backend = int8_preferred_backend();
   ThreadPool* pool = nullptr;  ///< nullptr = ThreadPool::global()
-  /// Reuse the packed filter across run() calls, keyed by the filter
-  /// pointer and validated by filter_fingerprint (mirrors the fp32
-  /// engine's packed-filter cache).
+  /// Reuse the packed filter across run() calls: one entry per filter
+  /// pointer, validated by filter_fingerprint (the fp32 engine's
+  /// PackedFilterCache).
   bool cache_packed_filter = true;
+  /// When non-null, filled after each run with that run's per-worker
+  /// telemetry, exactly like NdirectOptions::telemetry: units claimed,
+  /// steals, pack / micro-kernel nanoseconds (the micro-kernel phase
+  /// includes the requantize epilogue), cache hits, PMU deltas and the
+  /// run's wall time. Point concurrent runs at distinct sinks.
+  TelemetrySnapshot* telemetry = nullptr;
 };
 
 /// The int8 direct-convolution engine. Holds the conv geometry, the
 /// resolved micro-kernel, and the packed-filter cache; run() is
-/// re-entrant and const.
+/// re-entrant and const. Its tiles run on the fp32 engine's driver
+/// (core/tile_driver.h): the same stealing scheduler, scratch arenas
+/// and telemetry.
 class Int8Conv {
  public:
-  struct PackedFilter;  ///< opaque packed-filter cache entry
+  struct PackedFilter;  ///< opaque packed-filter cache payload
 
   explicit Int8Conv(const ConvParams& p, const Int8ConvOptions& opt = {});
   ~Int8Conv();
@@ -180,12 +191,14 @@ class Int8Conv {
            const Int8Output& out, Int8RunStats* stats = nullptr) const;
 
  private:
+  const PackedFilter& cached_filter(const std::int8_t* filter,
+                                    bool* cache_hit) const;
+
   ConvParams p_;
   Int8ConvOptions opt_;
   RegisterBlock rb_;
   I8KernelResolution kres_;
-  mutable std::shared_ptr<const PackedFilter> packed_;
-  mutable std::mutex mu_;
+  std::unique_ptr<PackedFilterCache<PackedFilter>> cache_;
 };
 
 /// Convenience wrapper mirroring quantized_conv_fp32: quantize fp32

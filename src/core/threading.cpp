@@ -64,38 +64,6 @@ ThreadMapping solve_thread_mapping(const ConvParams& p, double alpha,
   return best;
 }
 
-std::vector<int> partition_workers(int workers,
-                                   const std::vector<double>& weights) {
-  const int n = static_cast<int>(weights.size());
-  std::vector<int> out(static_cast<std::size_t>(n), 1);
-  if (n == 0 || workers <= n) return out;
-  double total = 0;
-  for (const double w : weights) total += w > 0 ? w : 0;
-  const int extra = workers - n;
-  if (total <= 0) {
-    for (int i = 0; i < extra; ++i) ++out[static_cast<std::size_t>(i % n)];
-    return out;
-  }
-  std::vector<double> frac(static_cast<std::size_t>(n));
-  int assigned = 0;
-  for (int i = 0; i < n; ++i) {
-    const double share =
-        (weights[i] > 0 ? weights[i] : 0) / total * extra;
-    const int whole = static_cast<int>(share);
-    out[static_cast<std::size_t>(i)] += whole;
-    assigned += whole;
-    frac[static_cast<std::size_t>(i)] = share - whole;
-  }
-  for (; assigned < extra; ++assigned) {
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < frac.size(); ++i)
-      if (frac[i] > frac[best]) best = i;
-    ++out[best];
-    frac[best] = -1;  // each branch wins at most one remainder worker
-  }
-  return out;
-}
-
 ThreadSlice thread_slice(const ThreadMapping& mapping, int tid,
                          std::int64_t total_rows, std::int64_t k_blocks) {
   const int tn = tid / mapping.ptk;

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "runtime/partition.h"
 #include "tensor/conv_params.h"
@@ -61,15 +60,5 @@ struct ThreadSlice {
 /// priority; K blocks are split over PTk.
 ThreadSlice thread_slice(const ThreadMapping& mapping, int tid,
                          std::int64_t total_rows, std::int64_t k_blocks);
-
-/// Split `workers` threads among concurrently running branches in
-/// proportion to `weights` (per-branch FLOP counts, say). Every branch
-/// receives at least one worker; the surplus is apportioned by largest
-/// remainder, so the counts sum to max(workers, weights.size()). The
-/// graph executor feeds each count to solve_thread_mapping as that
-/// branch's seed budget — under the stealing schedule the split only
-/// shapes seed locality, since idle workers drain any branch's tiles.
-std::vector<int> partition_workers(int workers,
-                                   const std::vector<double>& weights);
 
 }  // namespace ndirect

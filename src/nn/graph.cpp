@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "core/threading.h"
 #include "runtime/trace.h"
 
 namespace ndirect {
@@ -67,42 +66,6 @@ int Graph::max_width() const {
 void Graph::set_conv_pool(ThreadPool* pool) {
   conv_pool_ = pool;
   for (ConvOp* c : conv_ops()) c->set_pool(pool);
-}
-
-void Graph::plan_concurrency(int workers) {
-  if (workers <= 0) {
-    ThreadPool& pool =
-        conv_pool_ != nullptr ? *conv_pool_ : ThreadPool::global();
-    workers = static_cast<int>(pool.size());
-  }
-  for (const auto& level : levels()) {
-    std::vector<ConvOp*> convs;
-    for (NodeId id : level) {
-      auto* c = dynamic_cast<ConvOp*>(
-          nodes_[static_cast<std::size_t>(id)].op.get());
-      if (c != nullptr && c->backend() == ConvBackend::Ndirect) {
-        convs.push_back(c);
-      }
-    }
-    if (convs.size() < 2) {
-      // Nothing to share the machine with: whole pool, no extras.
-      for (ConvOp* c : convs) c->set_worker_budget(0, 0);
-      continue;
-    }
-    std::vector<double> flops;
-    flops.reserve(convs.size());
-    for (const ConvOp* c : convs) {
-      flops.push_back(static_cast<double>(c->params().flops()));
-    }
-    const std::vector<int> budget = partition_workers(workers, flops);
-    for (std::size_t i = 0; i < convs.size(); ++i) {
-      // Seed a sub-rectangle sized to this conv's share; the rest of
-      // the pool shows up as pure stealer tasks, so cores the sibling
-      // branch leaves idle drain this conv's tiles.
-      convs[i]->set_worker_budget(budget[i],
-                                  std::max(0, workers - budget[i]));
-    }
-  }
 }
 
 Tensor Graph::run_sequential(const Tensor& input,

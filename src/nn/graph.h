@@ -11,9 +11,9 @@
 // levels (ready-set driven, not insertion order), ready nodes are
 // handed to a small crew of runner threads, and every convolution
 // dispatches onto one shared ThreadPool whose re-entrant run() lets the
-// branches' tile schedulers cooperate — a core that finishes one
-// branch's tiles steals the sibling branch's through its pure-stealer
-// tasks (plan_concurrency). Concurrent execution is bitwise-identical
+// branches' tasks share its workers: each conv seeds its whole PTn x PTk
+// grid, and a worker whose task ends picks up the sibling branch's
+// pending tasks. Concurrent execution is bitwise-identical
 // to sequential execution: tiles own disjoint output blocks and each
 // output element's full C reduction happens inside one tile claim, so
 // neither the node interleaving nor the worker split can change any
@@ -106,15 +106,6 @@ class Graph {
   /// Point every ConvOp at `pool` (nullptr = the global pool), so all
   /// branches dispatch onto the same workers.
   void set_conv_pool(ThreadPool* pool);
-
-  /// Seed-budget planning for concurrent branches: in every dependency
-  /// level holding >= 2 Ndirect convs, split `workers` (0 = the conv
-  /// pool's size) across them proportionally to FLOPs
-  /// (partition_workers) and expose the rest of the pool to each conv
-  /// as pure stealer tasks, so each conv seeds a sub-rectangle of the
-  /// worker grid via solve_thread_mapping while idle cores from the
-  /// sibling branch drain its tiles. No effect on results.
-  void plan_concurrency(int workers = 0);
 
  private:
   struct Node {

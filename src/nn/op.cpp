@@ -97,17 +97,11 @@ void ConvOp::set_pool(ThreadPool* pool) {
   qengine_.reset();
 }
 
-void ConvOp::set_worker_budget(int budget, int extra_stealers) {
-  if (worker_budget_ == budget && extra_stealers_ == extra_stealers) return;
-  worker_budget_ = budget;
-  extra_stealers_ = extra_stealers;
-  engine_.reset();  // the grid is re-planned from the new budget
-}
-
 void ConvOp::set_telemetry(TelemetrySnapshot* sink) {
   if (telemetry_ == sink) return;
   telemetry_ = sink;
-  engine_.reset();  // the sink pointer is baked into the engine's options
+  engine_.reset();  // the sink pointer is baked into the engines' options
+  qengine_.reset();
 }
 
 TensorShape ConvOp::infer(const std::vector<TensorShape>& in) const {
@@ -132,18 +126,20 @@ void ConvOp::set_quantized(bool on) {
 }
 
 Tensor ConvOp::quantized_forward(const Tensor& x) const {
+  if (filter_dirty_ || !qfilter_ready_) {
+    // Re-quantize the (possibly rescaled) weights and drop the engine
+    // with the packed copy of the old ones.
+    qfilter_ = quantize_filter_i8(filter_.data(), params_);
+    qfilter_ready_ = true;
+    filter_dirty_ = false;
+    qengine_.reset();
+  }
   if (!qengine_) {
     Int8ConvOptions qopts;
     qopts.pool = pool_;
     qopts.cache_packed_filter = filter_cache_;
+    qopts.telemetry = telemetry_;
     qengine_ = std::make_unique<Int8Conv>(params_, qopts);
-  }
-  if (filter_dirty_ || !qfilter_ready_) {
-    // Re-quantize the (possibly rescaled) weights; the engine's
-    // packed-filter cache sees the new contents through its fingerprint.
-    qfilter_ = quantize_filter_i8(filter_.data(), params_);
-    qfilter_ready_ = true;
-    filter_dirty_ = false;
   }
   const QuantizedActivation qx = quantize_activation_u8(
       x.data(), static_cast<std::size_t>(params_.input_elems()), pool_);
@@ -178,8 +174,6 @@ Tensor ConvOp::forward(const std::vector<const Tensor*>& in) const {
         NdirectOptions nopts;
         nopts.cache_packed_filter = filter_cache_;
         nopts.pool = pool_;
-        nopts.threads = worker_budget_;
-        nopts.extra_stealers = extra_stealers_;
         nopts.telemetry = telemetry_;
         engine_ = std::make_unique<NdirectConv>(params_, nopts);
       }

@@ -98,21 +98,12 @@ class ConvOp final : public Op {
   /// oversubscribing the machine. nullptr restores the global pool.
   void set_pool(ThreadPool* pool);
 
-  /// Seed the Ndirect engine's PTn x PTk grid with `budget` threads
-  /// (0 = the whole pool) and expose `extra_stealers` additional
-  /// pure-stealer tasks (see NdirectOptions::extra_stealers). The graph
-  /// executor splits the pool across the convs of a level with
-  /// partition_workers and covers the remainder with stealers, so a
-  /// branch that finishes early drains its sibling's tiles. Neither
-  /// value affects results (bitwise-identical output for any split).
-  void set_worker_budget(int budget, int extra_stealers = 0);
-  int worker_budget() const { return worker_budget_; }
-  int extra_stealers() const { return extra_stealers_; }
-
   /// Collect per-run engine telemetry into `sink` (see
-  /// NdirectOptions::telemetry): every forward() on the Ndirect backend
-  /// overwrites it with that run's per-worker counters and wall time.
-  /// nullptr (the default) disables collection. Ops that may run
+  /// NdirectOptions::telemetry): every forward() on the Ndirect backend,
+  /// fp32 or quantized, overwrites it with that run's per-worker
+  /// counters and wall time. nullptr (the default) disables collection.
+  /// Rebuilds the engine, so its packed filter is re-packed on the next
+  /// forward. Ops that may run
   /// concurrently (graph branches) need distinct sinks; merge the
   /// snapshots afterwards for a whole-graph view.
   void set_telemetry(TelemetrySnapshot* sink);
@@ -146,15 +137,13 @@ class ConvOp final : public Op {
   bool fused_relu_ = false;
   bool filter_cache_ = true;
   ThreadPool* pool_ = nullptr;  ///< nullptr = global pool
-  int worker_budget_ = 0;       ///< 0 = whole pool
-  int extra_stealers_ = 0;
   TelemetrySnapshot* telemetry_ = nullptr;  ///< nullptr = no collection
   /// Set by the mutable filter() accessor, consumed by forward().
   mutable bool filter_dirty_ = false;
   // Planned engine for the Ndirect backend (lazy, shape is fixed).
   mutable std::unique_ptr<NdirectConv> engine_;
-  // Int8 path state (lazy; rebuilt when the pool changes or the filter
-  // goes dirty).
+  // Int8 path state (lazy; rebuilt when the pool or the telemetry sink
+  // changes or the filter goes dirty).
   bool quantized_ = false;
   mutable std::unique_ptr<Int8Conv> qengine_;
   mutable QuantizedFilterI8 qfilter_;

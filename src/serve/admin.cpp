@@ -133,11 +133,15 @@ HttpResponse handle_trace_start(const HttpRequest& req) {
   const std::string events = req.query_param("events", "0");
   const std::size_t capacity = static_cast<std::size_t>(
       std::strtoull(events.c_str(), nullptr, 10));
-  TraceSession::global().start(capacity);
-  return json_response(
-      200, "{\"tracing\": true, \"capacity\": " +
-               std::to_string(TraceSession::global().capacity()) +
-               "}\n");
+  TraceSession& t = TraceSession::global();
+  t.start(capacity);
+  // With telemetry compiled out the session never starts; say so.
+  std::string body = "{\"tracing\": ";
+  body += t.enabled() ? "true" : "false";
+  body += ", \"capacity\": ";
+  body += std::to_string(t.capacity());
+  body += "}\n";
+  return json_response(200, body);
 }
 
 HttpResponse handle_trace_stop(const HttpRequest&) {

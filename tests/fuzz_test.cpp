@@ -100,8 +100,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomShapeFuzz, ::testing::Range(0, 40));
 /// conv, lifted to whole graphs. Each seed checks:
 ///   1. the default concurrent executor on a small shared pool,
 ///   2. repeated runs (schedule nondeterminism must not surface),
-///   3. an OVERSUBSCRIBED pool (threads > cores) with seeded
-///      sub-rectangle budgets + stealers from plan_concurrency.
+///   3. an OVERSUBSCRIBED pool (threads > cores).
 class DagFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(DagFuzz, ConcurrentExecutionBitwiseIdenticalToSequential) {
@@ -130,12 +129,10 @@ TEST_P(DagFuzz, ConcurrentExecutionBitwiseIdenticalToSequential) {
         << "seed " << seed << " rep " << rep;
   }
 
-  // Oversubscribed pool + explicit concurrency plan: more pool threads
-  // than cores, convs seeded with sub-rectangles, remainder stealing.
+  // Oversubscribed pool: more pool threads than cores.
   const unsigned hc = std::max(1u, std::thread::hardware_concurrency());
   ThreadPool wide(2 * hc + 1);
   g->set_conv_pool(&wide);
-  g->plan_concurrency();
   const Tensor wide_out = g->run(input, {});
   ASSERT_EQ(wide_out.size(), expected.size());
   ASSERT_EQ(std::memcmp(wide_out.data(), expected.data(), bytes), 0)

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/ndirect.h"
-#include "core/threading.h"
 #include "nn/graph.h"
 #include "nn/models.h"
 #include "runtime/thread_pool.h"
@@ -87,7 +86,6 @@ TEST(GraphExecutor, SplitBlockConcurrentMatchesSequentialBitwise) {
   ThreadPool pool(4);
   auto g = build_split_block(2);
   g->set_conv_pool(&pool);
-  g->plan_concurrency();
   const Tensor input = input_for(*g, 77);
 
   GraphRunOptions seq;
@@ -116,7 +114,6 @@ TEST(GraphExecutor, ResNetSplitPathsDeterministic) {
   mo.image_size = 32;
   auto g = build_resnet50(1, mo);
   g->set_conv_pool(&pool);
-  g->plan_concurrency();
   EXPECT_GE(g->max_width(), 2);
   const Tensor input = input_for(*g, 5);
 
@@ -187,7 +184,7 @@ TEST(GraphExecutor, ProfiledTotalsConsistentUnderOverlap) {
 }
 
 TEST(GraphExecutor, FilterCacheSharedByConcurrentBranches) {
-  // Two engine copies share one FilterCache (the two-branches-one-
+  // Two engine copies share one packed-filter cache (the two-branches-one-
   // filter case: e.g. weight-tied siblings). Concurrent prepare+run
   // must serve ONE packed copy to both and identical outputs.
   ConvParams p{.N = 1, .C = 8, .H = 14, .W = 14, .K = 16, .R = 3,
@@ -225,44 +222,6 @@ TEST(GraphExecutor, FilterCacheSharedByConcurrentBranches) {
   expect_bitwise_equal(out_a, out_b, "shared-cache outputs");
 }
 
-TEST(GraphExecutor, WorkerBudgetAndStealersNeverChangeResults) {
-  // Seeding a sub-rectangle of the grid plus pure stealers is a pure
-  // scheduling choice: outputs stay bitwise-identical to the full-pool
-  // plan (the property plan_concurrency relies on).
-  ConvParams p{.N = 1, .C = 6, .H = 13, .W = 13, .K = 10, .R = 3,
-               .S = 3, .str = 1, .pad = 1};
-  ThreadPool pool(4);
-  Tensor input = make_input_nchw(p.N, p.C, p.H, p.W);
-  Tensor filter = make_filter_kcrs(p.K, p.C, p.R, p.S);
-  fill_random(input, 31);
-  fill_random(filter, 32);
-
-  NdirectOptions full;
-  full.pool = &pool;
-  const Tensor expected = NdirectConv(p, full).run(input, filter);
-
-  for (int budget = 1; budget <= 3; ++budget) {
-    NdirectOptions sub = full;
-    sub.threads = budget;
-    sub.extra_stealers = static_cast<int>(pool.size()) - budget;
-    const Tensor got = NdirectConv(p, sub).run(input, filter);
-    expect_bitwise_equal(expected, got, "budgeted conv");
-  }
-}
-
-TEST(GraphExecutor, PartitionWorkersProportionalAndTotal) {
-  const std::vector<int> even = partition_workers(8, {1.0, 1.0});
-  EXPECT_EQ(even, (std::vector<int>{4, 4}));
-  const std::vector<int> skew = partition_workers(8, {3.0, 1.0});
-  EXPECT_EQ(skew[0] + skew[1], 8);
-  EXPECT_GT(skew[0], skew[1]);
-  // Every branch gets at least one worker even when outnumbered.
-  const std::vector<int> tight = partition_workers(2, {1.0, 1.0, 1.0});
-  EXPECT_EQ(tight, (std::vector<int>{1, 1, 1}));
-  const std::vector<int> zero = partition_workers(4, {0.0, 0.0});
-  EXPECT_EQ(zero[0] + zero[1], 4);
-}
-
 TEST(GraphExecutor, ExceptionInBranchPropagates) {
   struct ThrowingOp final : Op {
     const char* name() const override { return "throwing"; }
@@ -297,7 +256,6 @@ TEST(GraphExecutor, RandomDagsUnderOversubscribedPool) {
   for (std::uint64_t seed = 100; seed < 110; ++seed) {
     auto g = testgen::build_random_dag(seed);
     g->set_conv_pool(&pool);
-    g->plan_concurrency();
     const Tensor input = input_for(*g, seed);
     GraphRunOptions seq;
     seq.concurrent = false;

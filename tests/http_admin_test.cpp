@@ -429,16 +429,22 @@ TEST(AdminServerTest, TraceEndpointsRoundTrip) {
                                        "/trace/start?events=512");
   ASSERT_TRUE(start.ok) << start.error;
   EXPECT_EQ(start.status, 200);
-  EXPECT_NE(start.body.find("\"tracing\": true"), std::string::npos);
-  EXPECT_NE(start.body.find("\"capacity\": 512"), std::string::npos);
-  EXPECT_TRUE(TraceSession::global().enabled());
+  if constexpr (kTelemetryCompiled) {
+    EXPECT_NE(start.body.find("\"tracing\": true"), std::string::npos);
+    EXPECT_NE(start.body.find("\"capacity\": 512"), std::string::npos);
+  } else {
+    // Compiled out, tracing stays off and the endpoint says so.
+    EXPECT_NE(start.body.find("\"tracing\": false"), std::string::npos);
+    EXPECT_NE(start.body.find("\"capacity\": 0"), std::string::npos);
+  }
+  EXPECT_EQ(TraceSession::global().enabled(), kTelemetryCompiled);
 
   TraceSession::global().complete("admin-test-span", 0, 100);
 
-  // Wrong method on a trace route: 405, and the session stays up.
+  // Wrong method on a trace route: 405, and the session state holds.
   EXPECT_EQ(http_get("127.0.0.1", admin.port(), "/trace/stop").status,
             405);
-  EXPECT_TRUE(TraceSession::global().enabled());
+  EXPECT_EQ(TraceSession::global().enabled(), kTelemetryCompiled);
 
   const HttpClientResponse stop =
       http_post("127.0.0.1", admin.port(), "/trace/stop");
@@ -446,7 +452,9 @@ TEST(AdminServerTest, TraceEndpointsRoundTrip) {
   EXPECT_EQ(stop.status, 200);
   EXPECT_FALSE(TraceSession::global().enabled());
   EXPECT_NE(stop.body.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(stop.body.find("admin-test-span"), std::string::npos);
+  // The span is recorded only where tracing exists.
+  EXPECT_EQ(stop.body.find("admin-test-span") != std::string::npos,
+            kTelemetryCompiled);
   TraceSession::global().clear();
 }
 

@@ -13,6 +13,7 @@
 #include <functional>
 #include <limits>
 #include <random>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -208,6 +209,200 @@ TEST(Int8Conv, PackedFilterCacheSeesInPlaceEdits) {
   std::vector<std::int32_t> want(got.size());
   naive_conv_int8(in.data(), 9, flt.data(), want.data(), p);
   EXPECT_EQ(got, want) << "an edited filter must be re-packed";
+}
+
+TEST(Int8Conv, AlternatingFiltersHitTheCacheForBoth) {
+  // One entry per filter pointer: two weight sets taking turns on one
+  // engine are each packed once, then both served from the cache.
+  if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
+  const ConvParams p{.N = 1, .C = 8, .H = 6, .W = 6, .K = 8, .R = 3,
+                     .S = 3, .str = 1, .pad = 1};
+  const auto in = random_u8(static_cast<std::size_t>(p.input_elems()), 3);
+  const auto fa = random_s8(static_cast<std::size_t>(p.filter_elems()), 4);
+  const auto fb = random_s8(static_cast<std::size_t>(p.filter_elems()), 5);
+  TelemetrySnapshot sink;
+  Int8ConvOptions opt;
+  opt.telemetry = &sink;
+  const Int8Conv conv(p, opt);
+  std::vector<std::int32_t> got(static_cast<std::size_t>(p.output_elems()));
+  std::vector<std::int32_t> want(got.size());
+  Int8Output dst;
+  dst.i32 = got.data();
+  for (int round = 0; round < 3; ++round) {
+    for (const auto* f : {&fa, &fb}) {
+      conv.run(in.data(), 9, f->data(), Int8Epilogue{}, dst);
+      EXPECT_EQ(sink.total(Counter::kCacheHits), round > 0 ? 1u : 0u)
+          << "round " << round;
+      naive_conv_int8(in.data(), 9, f->data(), want.data(), p);
+      ASSERT_EQ(got, want) << "round " << round;
+    }
+  }
+}
+
+// ----------------------------------------------------------------------
+// The shared tile driver: scheduling and telemetry
+// ----------------------------------------------------------------------
+
+/// Every int8 output mode of one conv on `pool`.
+struct Int8Outputs {
+  std::vector<std::int32_t> i32;
+  std::vector<std::int8_t> s8;
+  std::vector<float> f32;
+  bool operator==(const Int8Outputs& o) const {
+    return i32 == o.i32 && s8 == o.s8 &&
+           std::memcmp(f32.data(), o.f32.data(),
+                       f32.size() * sizeof(float)) == 0;
+  }
+};
+
+Int8Outputs run_all_modes(const Int8Conv& conv,
+                          const std::vector<std::uint8_t>& in,
+                          const std::vector<std::int8_t>& flt) {
+  const ConvParams& p = conv.params();
+  const std::size_t out_n = static_cast<std::size_t>(p.output_elems());
+  std::vector<float> scale(static_cast<std::size_t>(p.K));
+  std::vector<float> bias(scale.size());
+  for (std::size_t k = 0; k < scale.size(); ++k) {
+    scale[k] = 1e-3f * static_cast<float>(k + 1);
+    bias[k] = 0.25f - 0.125f * static_cast<float>(k % 5);
+  }
+  Int8Outputs r;
+  r.i32.resize(out_n);
+  r.s8.resize(out_n);
+  r.f32.resize(out_n);
+  Int8Output o;
+  o.i32 = r.i32.data();
+  conv.run(in.data(), 77, flt.data(), Int8Epilogue{}, o);
+  Int8Epilogue s8_ep;
+  s8_ep.requant_scale = scale.data();
+  s8_ep.out_zero_point = 3;
+  s8_ep.relu = true;
+  o = {};
+  o.s8 = r.s8.data();
+  conv.run(in.data(), 77, flt.data(), s8_ep, o);
+  Int8Epilogue f32_ep;
+  f32_ep.dequant_scale = scale.data();
+  f32_ep.bias = bias.data();
+  f32_ep.relu = true;
+  o = {};
+  o.f32 = r.f32.data();
+  conv.run(in.data(), 77, flt.data(), f32_ep, o);
+  return r;
+}
+
+TEST(Int8Conv, OutputsIdenticalAcrossPoolSizesAndConcurrentRuns) {
+  // Units own disjoint outputs and carry every K block, so neither the
+  // worker count nor the claim order can change a byte: i32, s8 and f32
+  // outputs match across pools of 1-4 threads and two concurrent runs.
+  const ConvParams shapes[] = {
+      {.N = 2, .C = 9, .H = 11, .W = 13, .K = 21, .R = 3, .S = 3,
+       .str = 1, .pad = 1},
+      {.N = 1, .C = 16, .H = 7, .W = 7, .K = 24, .R = 1, .S = 1,
+       .str = 1, .pad = 0},  // flattened into one exec row
+      {.N = 1, .C = 5, .H = 15, .W = 15, .K = 10, .R = 3, .S = 3,
+       .str = 2, .pad = 1}};
+  int i = 0;
+  for (const ConvParams& p : shapes) {
+    const auto in =
+        random_u8(static_cast<std::size_t>(p.input_elems()), 300 + i);
+    const auto flt =
+        random_s8(static_cast<std::size_t>(p.filter_elems()), 400 + i++);
+    ThreadPool serial(1);
+    Int8ConvOptions opt;
+    opt.pool = &serial;
+    const Int8Outputs want = run_all_modes(Int8Conv(p, opt), in, flt);
+    std::vector<std::int32_t> naive(want.i32.size());
+    naive_conv_int8(in.data(), 77, flt.data(), naive.data(), p);
+    ASSERT_EQ(want.i32, naive) << p;
+    for (std::size_t threads = 2; threads <= 4; ++threads) {
+      ThreadPool pool(threads);
+      opt.pool = &pool;
+      EXPECT_TRUE(run_all_modes(Int8Conv(p, opt), in, flt) == want)
+          << p << " threads=" << threads;
+    }
+    ThreadPool shared(3);
+    opt.pool = &shared;
+    const Int8Conv conv(p, opt);
+    Int8Outputs a, b;
+    std::thread other([&] { b = run_all_modes(conv, in, flt); });
+    a = run_all_modes(conv, in, flt);
+    other.join();
+    EXPECT_TRUE(a == want) << p << " concurrent run A";
+    EXPECT_TRUE(b == want) << p << " concurrent run B";
+  }
+}
+
+TEST(Int8Conv, TelemetryCountsEveryUnitAndSplitsPhases) {
+  if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
+  struct Case {
+    ConvParams p;
+    bool flattened;
+  };
+  const Case cases[] = {
+      {{.N = 2, .C = 8, .H = 12, .W = 14, .K = 20, .R = 3, .S = 3,
+        .str = 1, .pad = 1},
+       false},
+      {{.N = 1, .C = 16, .H = 7, .W = 7, .K = 16, .R = 1, .S = 1,
+        .str = 1, .pad = 0},
+       true}};
+  ThreadPool pool(3);
+  for (const Case& c : cases) {
+    const ConvParams& p = c.p;
+    const auto in = random_u8(static_cast<std::size_t>(p.input_elems()), 7);
+    const auto flt =
+        random_s8(static_cast<std::size_t>(p.filter_elems()), 8);
+    TelemetrySnapshot sink;
+    Int8ConvOptions opt;
+    opt.pool = &pool;
+    opt.telemetry = &sink;
+    const Int8Conv conv(p, opt);
+    std::vector<std::int32_t> out(
+        static_cast<std::size_t>(p.output_elems()));
+    Int8Output dst;
+    dst.i32 = out.data();
+    Int8RunStats stats;
+    conv.run(in.data(), 5, flt.data(), Int8Epilogue{}, dst, &stats);
+
+    // A unit is one (exec row, Vw column tile); a 1x1 stride-1 conv runs
+    // its whole P x Q plane as one exec row.
+    const std::int64_t vw = conv.block().vw;
+    const std::int64_t rows = c.flattened ? 1 : p.P();
+    const std::int64_t cols = c.flattened ? std::int64_t{p.P()} * p.Q()
+                                          : p.Q();
+    const std::uint64_t units =
+        static_cast<std::uint64_t>(p.N * rows * ((cols + vw - 1) / vw));
+    EXPECT_EQ(sink.total(Counter::kTilesClaimed), units) << p;
+    EXPECT_GT(sink.total(Counter::kPackNs), 0u) << p;
+    EXPECT_GT(sink.total(Counter::kMicrokernelNs), 0u) << p;
+    EXPECT_GT(sink.wall_seconds, 0.0) << p;
+    const std::uint64_t k_blocks =
+        static_cast<std::uint64_t>((p.K + conv.block().vk - 1) /
+                                   conv.block().vk);
+    EXPECT_EQ(stats.tiles, units * k_blocks) << p;
+    EXPECT_EQ(sink.total(Counter::kGenericFallback), stats.generic_fallback)
+        << p;
+  }
+
+  // With collection switched off a sink is cleared, not left stale.
+  struct Restore {
+    ~Restore() { set_telemetry_enabled(kTelemetryCompiled); }
+  } restore;
+  set_telemetry_enabled(false);
+  const ConvParams& p = cases[0].p;
+  const auto in = random_u8(static_cast<std::size_t>(p.input_elems()), 7);
+  const auto flt = random_s8(static_cast<std::size_t>(p.filter_elems()), 8);
+  TelemetrySnapshot sink;
+  sink.workers.resize(2);
+  sink.wall_seconds = 1;
+  Int8ConvOptions opt;
+  opt.pool = &pool;
+  opt.telemetry = &sink;
+  std::vector<std::int32_t> out(static_cast<std::size_t>(p.output_elems()));
+  Int8Output dst;
+  dst.i32 = out.data();
+  Int8Conv(p, opt).run(in.data(), 5, flt.data(), Int8Epilogue{}, dst);
+  EXPECT_TRUE(sink.empty());
+  EXPECT_EQ(sink.wall_seconds, 0.0);
 }
 
 TEST(Int8Conv, ForcedBlocksStayExact) {
@@ -762,6 +957,28 @@ TEST(QuantizedNn, ConvOpQuantizedTracksFp32) {
   for (std::size_t i = 0; i < back.size(); ++i) {
     ASSERT_EQ(back[i], ref[i]);
   }
+}
+
+TEST(QuantizedNn, SetTelemetryFillsTheSinkOnQuantizedForwards) {
+  // ConvOp::set_telemetry hands every conv a sink; a quantized forward
+  // must write it too, including when the int8 engine already exists.
+  if (!kTelemetryCompiled) GTEST_SKIP() << "telemetry compiled out";
+  const ConvParams p{.N = 1, .C = 8, .H = 14, .W = 14, .K = 12, .R = 3,
+                     .S = 3, .str = 1, .pad = 1};
+  ConvOp op(p, ConvBackend::Ndirect, 777, /*bias=*/true);
+  op.set_quantized(true);
+  Tensor x({p.N, p.C, p.H, p.W}, Layout::NCHW);
+  fill_random(x, 31);
+  const Tensor ref = op.forward({&x});  // builds the int8 engine
+  TelemetrySnapshot sink;
+  op.set_telemetry(&sink);
+  const Tensor got = op.forward({&x});
+  ASSERT_FALSE(sink.empty());
+  EXPECT_GT(sink.total(Counter::kTilesClaimed), 0u);
+  EXPECT_GT(sink.total(Counter::kMicrokernelNs), 0u);
+  ASSERT_EQ(std::memcmp(got.data(), ref.data(), ref.size() * sizeof(float)),
+            0);
+  op.set_telemetry(nullptr);
 }
 
 TEST(QuantizedNn, QuantizeConvsPassSwitchesNdirectConvsOnly) {

@@ -441,7 +441,6 @@ TEST(Trace, ConcurrentGraphProducesPerRunnerLanes) {
   const NodeId a = g.add(graph_conv(g.shape_of(0), 64, 1), {0});
   const NodeId b = g.add(graph_conv(g.shape_of(0), 64, 2), {0});
   g.add(std::make_unique<AddOp>(), {a, b});
-  g.plan_concurrency();
   Tensor input = make_input_nchw(1, 32, 32, 32);
   fill_random(input, 3);
 
