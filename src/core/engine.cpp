@@ -230,6 +230,8 @@ void run_nest(const ConvParams& p, const NdirectPlan& plan,
 
     const float* image = input + n * ls.in_image;
     float* out_image = output + n * ls.out_image;
+    const float* res_image =
+        epi.residual != nullptr ? epi.residual + n * ls.out_image : nullptr;
 
     for (int ht = oh_begin; ht < oh_end; ht += th) {         // loop L2
       const int hv_end = std::min(ht + th, oh_end);
@@ -341,8 +343,12 @@ void run_nest(const ConvParams& p, const NdirectPlan& plan,
               a.kn = static_cast<int>(std::min<std::int64_t>(vk, p.K - kv));
               a.bias = last_c && epi.bias != nullptr ? epi.bias + kv : nullptr;
               a.ftile = ftile_base + b * f_kb_stride;
-              a.out =
-                  out_image + kv * ls.out_k + hv * ls.out_row + wv * ls.out_w;
+              const std::int64_t out_off =
+                  kv * ls.out_k + hv * ls.out_row + wv * ls.out_w;
+              a.out = out_image + out_off;
+              a.residual =
+                  last_c && res_image != nullptr ? res_image + out_off
+                                                 : nullptr;
               if (b == 0 && !direct_row) {
                 // First kv block: pack the input window. Fused mode
                 // hides the packing behind this block's FMAs (its cost

@@ -170,10 +170,14 @@ void compute_kernel_generic(const MicroArgs& a, int vw, int vk) {
   }
   for (int w = 0; w < a.wn; ++w) {
     for (int k = 0; k < a.kn; ++k) {
-      float* o = a.out + k * a.out_k_stride + w * a.out_w_stride;
+      const std::int64_t off = k * a.out_k_stride + w * a.out_w_stride;
+      float* o = a.out + off;
       float v = a.accumulate ? *o + tile[w][k] : tile[w][k];
       if (a.bias != nullptr) v += a.bias[k];
-      if (a.relu && v < 0.0f) v = 0.0f;
+      if (a.residual != nullptr) v += a.residual[off];
+      // Same clamp as vmax(v, 0) in the vector stores (-0 and NaN
+      // become +0), so the fallback stays bitwise equal to them.
+      if (a.relu && !(v > 0.0f)) v = 0.0f;
       *o = v;
     }
   }

@@ -78,10 +78,14 @@ struct MicroArgs {
   int kn = 0;                   ///< valid output channels (<= vk)
   bool accumulate = false;      ///< add into out (later C tiles)
 
-  // Store-time epilogue (operator fusion, Section 10 direction): both
-  // are applied by the engine only on the final C tile's stores, so a
-  // convolution with bias/ReLU costs no extra pass over the output.
+  // Store-time epilogue (operator fusion, Section 10 direction): all
+  // three are applied by the engine only on the final C tile's stores,
+  // in the order (sum + bias) + residual, then ReLU, so a convolution
+  // with bias / residual add / ReLU costs no extra pass over the output.
   const float* bias = nullptr;  ///< kn per-channel values, or nullptr
+  /// Residual element (w=0, k=0) of the tile, addressed with the out
+  /// strides, or nullptr.
+  const float* residual = nullptr;
   bool relu = false;            ///< clamp stores at zero
 };
 

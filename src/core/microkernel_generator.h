@@ -108,6 +108,13 @@ NDIRECT_ALWAYS_INLINE void store_tile_interior(const MicroArgs& a,
           r2 = vadd(r2, vdup(a.bias[4 * j + 2]));
           r3 = vadd(r3, vdup(a.bias[4 * j + 3]));
         }
+        if (a.residual != nullptr) {
+          const float* q = a.residual + 4 * j * a.out_k_stride + w0;
+          r0 = vadd(r0, vload(q));
+          r1 = vadd(r1, vload(q + a.out_k_stride));
+          r2 = vadd(r2, vload(q + 2 * a.out_k_stride));
+          r3 = vadd(r3, vload(q + 3 * a.out_k_stride));
+        }
         if (a.relu) {
           r0 = vmax(r0, zero);
           r1 = vmax(r1, zero);
@@ -127,6 +134,9 @@ NDIRECT_ALWAYS_INLINE void store_tile_interior(const MicroArgs& a,
         vec128f v = acc[w][j];
         if (a.accumulate) v = vadd(v, vload(o + 4 * j));
         if (a.bias != nullptr) v = vadd(v, vload(a.bias + 4 * j));
+        if (a.residual != nullptr) {
+          v = vadd(v, vload(a.residual + w * a.out_w_stride + 4 * j));
+        }
         if (a.relu) v = vmax(v, zero);
         vstore(o + 4 * j, v);
       }
@@ -154,10 +164,14 @@ NDIRECT_ALWAYS_INLINE void store_tile_edge(const MicroArgs& a,
                         acc[w0 + 3][j]};
         vtranspose4x4(r[0], r[1], r[2], r[3]);
         for (int kk = 0; kk < kg; ++kk) {
-          float* o = a.out + (k0 + kk) * a.out_k_stride + w0;
+          const std::int64_t off = (k0 + kk) * a.out_k_stride + w0;
+          float* o = a.out + off;
           vec128f v = r[kk];
           if (a.accumulate) v = vadd(v, vload_lanes(o, wg));
           if (a.bias != nullptr) v = vadd(v, vdup(a.bias[k0 + kk]));
+          if (a.residual != nullptr) {
+            v = vadd(v, vload_lanes(a.residual + off, wg));
+          }
           if (a.relu) v = vmax(v, zero);
           vstore_lanes(o, v, wg);
         }
@@ -171,6 +185,9 @@ NDIRECT_ALWAYS_INLINE void store_tile_edge(const MicroArgs& a,
         vec128f v = acc[w][k0 / 4];
         if (a.accumulate) v = vadd(v, vload_lanes(o + k0, kg));
         if (a.bias != nullptr) v = vadd(v, vload_lanes(a.bias + k0, kg));
+        if (a.residual != nullptr) {
+          v = vadd(v, vload_lanes(a.residual + w * a.out_w_stride + k0, kg));
+        }
         if (a.relu) v = vmax(v, zero);
         vstore_lanes(o + k0, v, kg);
       }

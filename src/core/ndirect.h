@@ -144,11 +144,17 @@ struct NdirectOptions {
 
 /// Store-time fusion of the ops that commonly follow a convolution
 /// (Section 10's operator-fusion direction): a per-channel bias
-/// (K floats) and/or ReLU, applied inside the micro-kernel's stores on
-/// the final C tile — no extra pass over the output.
+/// (K floats), a residual tensor added element-wise (the ResNet
+/// shortcut) and/or ReLU, applied inside the micro-kernel's stores on
+/// the final C tile — no extra pass over the output. Each element is
+/// stored as relu((sum + bias) + residual): the order in which an
+/// unfused conv -> add -> relu rounds, so fusing changes no bit.
 struct ConvEpilogue {
   const float* bias = nullptr;  ///< K per-channel values, or nullptr
   bool relu = false;
+  /// Tensor with the output's shape and layout (NCHW for run/run_into,
+  /// NHWC for run_nhwc), or nullptr. Must not alias the output.
+  const float* residual = nullptr;
 };
 
 /// Planned convolution for one shape (framework-operator style).

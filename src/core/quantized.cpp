@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 
 #include "core/fai.h"
 #include "core/filter_transform.h"
@@ -462,6 +463,7 @@ void i8_store_tile(const Int8Epilogue& ep, const Int8Output& out,
     const std::int32_t cadd = comp[kk];
     if (out.f32 != nullptr) {
       float* orow = out.f32 + off;
+      const float* rrow = ep.residual != nullptr ? ep.residual + off : nullptr;
       const vec128f dq = vdup(ep.dequant_scale[kk]);
       const vec128f bb =
           vdup(ep.bias != nullptr ? ep.bias[kk] : 0.0f);
@@ -470,6 +472,7 @@ void i8_store_tile(const Int8Epilogue& ep, const Int8Output& out,
         const int m = std::min(4, wn - w0);
         vec128f v = vfma(
             bb, vcvt_f32_i32(vadd_i32(vload_i32(arow + w0), cc)), dq);
+        if (rrow != nullptr) v = vadd(v, vload_lanes(rrow + w0, m));
         if (ep.relu) v = vmax(v, vzero());
         if (m == 4) {
           vstore(orow + w0, v);
@@ -572,6 +575,10 @@ void Int8Conv::run(const std::uint8_t* input, int in_zero_point,
   assert((out.i32 != nullptr) + (out.s8 != nullptr) +
              (out.f32 != nullptr) ==
          1);
+  if (ep.residual != nullptr && out.f32 == nullptr) {
+    throw std::invalid_argument(
+        "Int8Conv::run: a residual needs the f32 output mode");
+  }
   PackedFilter uncached;
   bool cache_hit = false;
   const PackedFilter* pf = &uncached;

@@ -117,9 +117,14 @@ struct Int8Epilogue {
   const float* requant_scale = nullptr;   ///< K; in_s*w_s[k]/out_s
   const std::int32_t* bias_i32 = nullptr; ///< K, pre-quantized; optional
   int out_zero_point = 0;
-  // f32 dequantize mode: y = acc * dequant_scale[k] + bias[k].
+  // f32 dequantize mode: y = (acc * dequant_scale[k] + bias[k]) +
+  // residual, then the ReLU.
   const float* dequant_scale = nullptr;   ///< K; in_s*w_s[k]
   const float* bias = nullptr;            ///< K fp32; optional
+  /// fp32 [N,K,P,Q] added element-wise before the ReLU (the fp32
+  /// engine's ConvEpilogue::residual); optional, f32 mode only —
+  /// run() throws std::invalid_argument in the s8 and i32 modes.
+  const float* residual = nullptr;
   bool relu = false;  ///< fused max(., relu point) in s8/f32 modes
 };
 

@@ -30,7 +30,8 @@ NodeId Graph::add(std::unique_ptr<Op> op, std::vector<NodeId> inputs) {
   node.op = std::move(op);
   node.inputs = std::move(inputs);
   nodes_.push_back(std::move(node));
-  return node_count() - 1;
+  output_ = node_count() - 1;
+  return output_;
 }
 
 std::vector<std::vector<NodeId>> Graph::levels() const {
@@ -70,8 +71,8 @@ void Graph::set_conv_pool(ThreadPool* pool) {
 
 Tensor Graph::run_sequential(const Tensor& input,
                              const GraphRunOptions& opts) const {
+  // values[0] stays empty: node 0's readers get `input` itself.
   std::vector<Tensor> values(nodes_.size());
-  values[0] = input.clone();
   if (opts.stats != nullptr) {
     *opts.stats = {};
     opts.stats->runners = 1;
@@ -83,7 +84,7 @@ Tensor Graph::run_sequential(const Tensor& input,
     std::vector<const Tensor*> args;
     args.reserve(node.inputs.size());
     for (NodeId id : node.inputs) {
-      args.push_back(&values[static_cast<std::size_t>(id)]);
+      args.push_back(id == 0 ? &input : &values[static_cast<std::size_t>(id)]);
     }
     if (trace_on())
       TraceSession::global().begin(node.op->name(), "node",
@@ -100,7 +101,8 @@ Tensor Graph::run_sequential(const Tensor& input,
       opts.stats->completion_order.push_back(static_cast<NodeId>(i));
     }
   }
-  return std::move(values.back());
+  return output_ == 0 ? input.clone()
+                      : std::move(values[static_cast<std::size_t>(output_)]);
 }
 
 Tensor Graph::run_concurrent(const Tensor& input,
@@ -111,8 +113,8 @@ Tensor Graph::run_concurrent(const Tensor& input,
   // once, by the runner that executes its node, strictly before the
   // completion is published under the mutex — so consumers (which only
   // read inputs already in completion_order) race with nothing.
+  // values[0] stays empty: node 0's readers get `input` itself.
   std::vector<Tensor> values(n);
-  values[0] = input.clone();
 
   std::vector<int> indeg(n, 0);
   std::vector<std::vector<NodeId>> consumers(n);
@@ -157,7 +159,8 @@ Tensor Graph::run_concurrent(const Tensor& input,
       std::vector<const Tensor*> args;
       args.reserve(node.inputs.size());
       for (NodeId in : node.inputs) {
-        args.push_back(&values[static_cast<std::size_t>(in)]);
+        args.push_back(in == 0 ? &input
+                               : &values[static_cast<std::size_t>(in)]);
       }
       Tensor out;
       try {
@@ -227,7 +230,8 @@ Tensor Graph::run_concurrent(const Tensor& input,
     opts.stats->max_inflight = max_inflight;
     opts.stats->completion_order = std::move(completion_order);
   }
-  return std::move(values.back());
+  return output_ == 0 ? input.clone()
+                      : std::move(values[static_cast<std::size_t>(output_)]);
 }
 
 Tensor Graph::run(const Tensor& input, const GraphRunOptions& opts) const {
@@ -247,7 +251,7 @@ Tensor Graph::run_profiled(const Tensor& input, PhaseTimer& timer) const {
 }
 
 const TensorShape& Graph::output_shape() const {
-  return nodes_.back().shape;
+  return nodes_[static_cast<std::size_t>(output_)].shape;
 }
 
 const TensorShape& Graph::shape_of(NodeId id) const {
@@ -272,17 +276,52 @@ const std::vector<NodeId>& Graph::inputs_of(NodeId id) const {
   return nodes_.at(static_cast<std::size_t>(id)).inputs;
 }
 
-void Graph::replace_op(NodeId id, std::unique_ptr<Op> op) {
-  Node& node = nodes_.at(static_cast<std::size_t>(id));
+void Graph::absorb(NodeId node, NodeId into) {
+  if (node <= 0 || node >= node_count()) {
+    throw std::invalid_argument("absorb: bad node id");
+  }
+  const Node& gone = nodes_[static_cast<std::size_t>(node)];
+  std::vector<NodeId> extra = gone.inputs;
+  const auto it = std::find(extra.begin(), extra.end(), into);
+  if (into <= 0 || it == extra.end()) {
+    throw std::invalid_argument("absorb: target is not an input");
+  }
+  extra.erase(it);
+  Node& keep = nodes_[static_cast<std::size_t>(into)];
+  std::vector<NodeId> inputs = keep.inputs;
   std::vector<TensorShape> in_shapes;
-  for (NodeId in : node.inputs) {
+  for (NodeId in : extra) {
+    if (in >= into) {
+      throw std::invalid_argument(
+          "absorb: an input would follow its consumer");
+    }
+    inputs.push_back(in);
+  }
+  for (NodeId in : inputs) {
     in_shapes.push_back(nodes_[static_cast<std::size_t>(in)].shape);
   }
-  const TensorShape new_shape = op->infer(in_shapes);
-  if (!(new_shape == node.shape)) {
-    throw std::invalid_argument("replace_op: output shape changed");
+  if (!(gone.shape == keep.shape) ||
+      !(keep.op->infer(in_shapes) == keep.shape)) {
+    throw std::invalid_argument("absorb: output shape changed");
   }
-  node.op = std::move(op);
+
+  keep.inputs = std::move(inputs);
+  nodes_.erase(nodes_.begin() + node);
+  for (std::size_t i = static_cast<std::size_t>(node); i < nodes_.size();
+       ++i) {
+    for (NodeId& in : nodes_[i].inputs) {
+      if (in == node) {
+        in = into;
+      } else if (in > node) {
+        --in;
+      }
+    }
+  }
+  if (output_ == node) {
+    output_ = into;
+  } else if (output_ > node) {
+    --output_;
+  }
 }
 
 std::int64_t Graph::conv_flops() const {

@@ -19,7 +19,9 @@
 // neither the node interleaving nor the worker split can change any
 // FP accumulation order (DESIGN.md §10; enforced by the DAG fuzzer).
 //
-// Nodes are added in topological order; node 0 is the graph input.
+// Nodes are added in topological order; node 0 is the graph input and
+// the last node added is the output (absorb() may move it to the node
+// that took over its work).
 #pragma once
 
 #include <memory>
@@ -78,6 +80,8 @@ class Graph {
   Tensor run_profiled(const Tensor& input, PhaseTimer& timer) const;
 
   int node_count() const { return static_cast<int>(nodes_.size()); }
+  /// The node whose tensor run() returns.
+  NodeId output() const { return output_; }
   const TensorShape& output_shape() const;
   const TensorShape& shape_of(NodeId id) const;
   Op* op_of(NodeId id);
@@ -87,9 +91,16 @@ class Graph {
 
   const std::vector<NodeId>& inputs_of(NodeId id) const;
 
-  /// Swap a node's operator in place. The replacement must infer the
-  /// same output shape from the same inputs (checked).
-  void replace_op(NodeId id, std::unique_ptr<Op> op);
+  /// Erase `node` once `into`, one of its inputs, has taken over its
+  /// work (the graph passes fold BN / ReLU / residual add into a conv).
+  /// `node`'s other inputs are appended to `into`'s, every consumer of
+  /// `node` reads `into` instead, every later node id drops by one, and
+  /// the output moves to `into` if it was `node`. Node order is never
+  /// changed, so the appended inputs must precede `into`; `into` must
+  /// have `node`'s shape and its op must accept the longer input list
+  /// with that shape. Throws std::invalid_argument, leaving the graph
+  /// untouched, when any of this does not hold.
+  void absorb(NodeId node, NodeId into);
 
   /// Total conv flops of one forward pass.
   std::int64_t conv_flops() const;
@@ -120,6 +131,7 @@ class Graph {
                         int runners) const;
 
   std::vector<Node> nodes_;
+  NodeId output_ = 0;
   ThreadPool* conv_pool_ = nullptr;  ///< set_conv_pool target
 };
 

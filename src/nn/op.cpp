@@ -30,6 +30,34 @@ TensorShape shape_of(const Tensor& t) {
           static_cast<int>(t.dim(2)), static_cast<int>(t.dim(3))};
 }
 
+// dst[i] = ((src[i] + *bias) + res[i]), then max(., 0) — each step only
+// when its operand is given (bias / res non-null, relu set) — in one
+// vectorized pass; dst may alias src. The order and the vmax clamp are
+// the conv store epilogue's, so a fused conv and the unfused
+// conv -> add -> relu chain agree bitwise.
+void elementwise(float* dst, const float* src, std::int64_t n,
+                 const float* bias, const float* res, bool relu) {
+  const vec128f vb = vdup(bias != nullptr ? *bias : 0.0f);
+  const vec128f zero = vzero();
+  const auto apply = [&](vec128f v, vec128f r) {
+    if (bias != nullptr) v = vadd(v, vb);
+    if (res != nullptr) v = vadd(v, r);
+    return relu ? vmax(v, zero) : v;
+  };
+  std::int64_t i = 0;
+  for (; i + kVecLanes <= n; i += kVecLanes) {
+    vstore(dst + i,
+           apply(vload(src + i), res != nullptr ? vload(res + i) : zero));
+  }
+  if (i < n) {
+    const int m = static_cast<int>(n - i);
+    vstore_lanes(dst + i,
+                 apply(vload_lanes(src + i, m),
+                       res != nullptr ? vload_lanes(res + i, m) : zero),
+                 m);
+  }
+}
+
 }  // namespace
 
 std::string TensorShape::to_string() const {
@@ -105,14 +133,20 @@ void ConvOp::set_telemetry(TelemetrySnapshot* sink) {
 }
 
 TensorShape ConvOp::infer(const std::vector<TensorShape>& in) const {
-  expect_arity("conv", in.size(), 1);
+  if (in.size() != 2) expect_arity("conv", in.size(), 1);
   const TensorShape& s = in[0];
   if (s.C != params_.C || s.H != params_.H || s.W != params_.W ||
       s.N != params_.N) {
     throw std::invalid_argument("conv: input shape " + s.to_string() +
                                 " does not match " + params_.to_string());
   }
-  return {params_.N, params_.K, params_.P(), params_.Q()};
+  const TensorShape out{params_.N, params_.K, params_.P(), params_.Q()};
+  if (in.size() == 2 && !(in[1] == out)) {
+    throw std::invalid_argument("conv: residual shape " +
+                                in[1].to_string() + " does not match " +
+                                "the output " + out.to_string());
+  }
+  return out;
 }
 
 void ConvOp::set_quantized(bool on) {
@@ -125,7 +159,8 @@ void ConvOp::set_quantized(bool on) {
   }
 }
 
-Tensor ConvOp::quantized_forward(const Tensor& x) const {
+Tensor ConvOp::quantized_forward(const Tensor& x,
+                                 const Tensor* residual) const {
   if (filter_dirty_ || !qfilter_ready_) {
     // Re-quantize the (possibly rescaled) weights and drop the engine
     // with the packed copy of the old ones.
@@ -151,6 +186,7 @@ Tensor ConvOp::quantized_forward(const Tensor& x) const {
   Int8Epilogue epi;
   epi.dequant_scale = qdequant_.data();
   epi.bias = bias_.empty() ? nullptr : bias_.data();
+  epi.residual = residual != nullptr ? residual->data() : nullptr;
   epi.relu = fused_relu_;
   Tensor out({params_.N, params_.K, params_.P(), params_.Q()},
              Layout::NCHW);
@@ -163,10 +199,11 @@ Tensor ConvOp::quantized_forward(const Tensor& x) const {
 
 Tensor ConvOp::forward(const std::vector<const Tensor*>& in) const {
   const Tensor& x = *in.at(0);
+  const Tensor* residual = in.size() > 1 ? in[1] : nullptr;
   Tensor out;
   switch (backend_) {
     case ConvBackend::Ndirect: {
-      if (quantized_) return quantized_forward(x);
+      if (quantized_) return quantized_forward(x, residual);
       if (!engine_) {
         // Inference configuration: persistent scratch arenas plus the
         // packed-filter cache, so steady-state forward passes allocate
@@ -183,9 +220,11 @@ Tensor ConvOp::forward(const std::vector<const Tensor*>& in) const {
         engine_->invalidate_filter_cache();
         filter_dirty_ = false;
       }
-      // Bias and fused ReLU ride the store epilogue: zero extra passes.
+      // Bias, residual and fused ReLU ride the store epilogue: zero
+      // extra passes.
       ConvEpilogue epi;
       epi.bias = bias_.empty() ? nullptr : bias_.data();
+      epi.residual = residual != nullptr ? residual->data() : nullptr;
       epi.relu = fused_relu_;
       out = engine_->run(x, filter_, epi);
       return out;
@@ -211,30 +250,21 @@ Tensor ConvOp::forward(const std::vector<const Tensor*>& in) const {
       out = naive_conv_nchw(x, filter_, params_);
       break;
   }
-  // Non-Ndirect backends cannot fuse into their stores; apply bias and
-  // ReLU in ONE vectorized pass over the output instead of the two
-  // scalar passes the seed ran (the Ndirect path returned above with
-  // both folded into the store epilogue).
-  if (!bias_.empty() || fused_relu_) {
+  // Non-Ndirect backends cannot fuse into their stores; apply bias,
+  // residual and ReLU in ONE vectorized pass over the output, in the
+  // store epilogue's order (the Ndirect path returned above with all
+  // three folded into its stores).
+  if (!bias_.empty() || residual != nullptr || fused_relu_) {
     const std::int64_t hw = std::int64_t{params_.P()} * params_.Q();
-    const vec128f zero = vzero();
     for (int n = 0; n < params_.N; ++n) {
       for (int k = 0; k < params_.K; ++k) {
-        const float b =
-            bias_.empty() ? 0.0f : bias_[static_cast<std::size_t>(k)];
-        float* plane =
-            out.data() + (std::int64_t{n} * params_.K + k) * hw;
-        const vec128f vb = vdup(b);
-        std::int64_t i = 0;
-        if (fused_relu_) {
-          for (; i + kVecLanes <= hw; i += kVecLanes)
-            vstore(plane + i, vmax(vadd(vload(plane + i), vb), zero));
-          for (; i < hw; ++i) plane[i] = std::max(plane[i] + b, 0.0f);
-        } else {
-          for (; i + kVecLanes <= hw; i += kVecLanes)
-            vstore(plane + i, vadd(vload(plane + i), vb));
-          for (; i < hw; ++i) plane[i] += b;
-        }
+        const std::int64_t off = (std::int64_t{n} * params_.K + k) * hw;
+        float* plane = out.data() + off;
+        elementwise(plane, plane, hw,
+                    bias_.empty() ? nullptr
+                                  : &bias_[static_cast<std::size_t>(k)],
+                    residual != nullptr ? residual->data() + off : nullptr,
+                    fused_relu_);
       }
     }
   }
@@ -275,24 +305,16 @@ Tensor DepthwiseConvOp::forward(
 // Elementwise / normalization
 // ---------------------------------------------------------------------------
 
-TensorShape IdentityOp::infer(const std::vector<TensorShape>& in) const {
-  expect_arity("identity", in.size(), 1);
-  return in[0];
-}
-
-Tensor IdentityOp::forward(const std::vector<const Tensor*>& in) const {
-  return in.at(0)->clone();
-}
-
 TensorShape ReluOp::infer(const std::vector<TensorShape>& in) const {
   expect_arity("relu", in.size(), 1);
   return in[0];
 }
 
 Tensor ReluOp::forward(const std::vector<const Tensor*>& in) const {
-  Tensor out = in.at(0)->clone();
-  float* d = out.data();
-  for (std::size_t i = 0; i < out.size(); ++i) d[i] = std::max(d[i], 0.0f);
+  const Tensor& x = *in.at(0);
+  Tensor out(x.dims(), x.layout());
+  elementwise(out.data(), x.data(), x.element_count(), nullptr, nullptr,
+              true);
   return out;
 }
 
@@ -445,10 +467,9 @@ TensorShape AddOp::infer(const std::vector<TensorShape>& in) const {
 Tensor AddOp::forward(const std::vector<const Tensor*>& in) const {
   const Tensor& a = *in.at(0);
   const Tensor& b = *in.at(1);
-  Tensor out = a.clone();
-  float* d = out.data();
-  const float* s = b.data();
-  for (std::size_t i = 0; i < out.size(); ++i) d[i] += s[i];
+  Tensor out(a.dims(), a.layout());
+  elementwise(out.data(), a.data(), a.element_count(), nullptr, b.data(),
+              false);
   return out;
 }
 

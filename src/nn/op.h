@@ -45,6 +45,11 @@ enum class ConvBackend {
 
 const char* conv_backend_name(ConvBackend b);
 
+/// Takes one input, or two: the second is a residual with the output's
+/// shape, added after the bias and before the fused ReLU (set up by
+/// fuse_conv_relu when it absorbs a conv -> add pair). The Ndirect
+/// backend, fp32 or quantized, adds it in the store epilogue; the
+/// others in their bias/ReLU post-pass.
 class ConvOp final : public Op {
  public:
   /// Weights are initialized deterministically from `seed`; `bias` adds
@@ -74,9 +79,9 @@ class ConvOp final : public Op {
   /// activations are quantized u8 asymmetric per forward, weights s8
   /// symmetric per output channel (re-quantized whenever the filter is
   /// marked dirty), and the fp32 output is produced by the per-channel
-  /// dequantize epilogue with the op's bias and fused ReLU — so the
-  /// graph topology and every downstream op are unchanged. Only the
-  /// Ndirect backend; other backends ignore the flag. Switching on
+  /// dequantize epilogue with the op's bias, residual and fused ReLU —
+  /// so the graph topology and every downstream op are unchanged. Only
+  /// the Ndirect backend; other backends ignore the flag. Switching on
   /// releases the fp32 engine and its packed filter (re-packed lazily if
   /// switched back off); switching off releases the int8 engine.
   void set_quantized(bool on);
@@ -126,7 +131,7 @@ class ConvOp final : public Op {
   std::vector<float>& bias() { return bias_; }
 
  private:
-  Tensor quantized_forward(const Tensor& x) const;
+  Tensor quantized_forward(const Tensor& x, const Tensor* residual) const;
 
   ConvParams params_;
   ConvBackend backend_;
@@ -167,14 +172,6 @@ class DepthwiseConvOp final : public Op {
  private:
   DepthwiseParams params_;
   Tensor filter_;  ///< [C, 1, R, S]
-};
-
-/// Pass-through (what a folded-away op becomes).
-class IdentityOp final : public Op {
- public:
-  const char* name() const override { return "identity"; }
-  TensorShape infer(const std::vector<TensorShape>& in) const override;
-  Tensor forward(const std::vector<const Tensor*>& in) const override;
 };
 
 class ReluOp final : public Op {

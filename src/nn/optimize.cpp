@@ -1,28 +1,42 @@
 #include "nn/optimize.h"
 
+#include <algorithm>
 #include <vector>
 
 namespace ndirect {
+namespace {
+
+/// Input edges from later nodes into `id` (add(x, x) counts x twice).
+int consumer_count(const Graph& graph, NodeId id) {
+  int count = 0;
+  for (NodeId node = id + 1; node < graph.node_count(); ++node) {
+    for (NodeId in : graph.inputs_of(node)) count += in == id ? 1 : 0;
+  }
+  return count;
+}
+
+/// The conv at `id` when it is a ConvOp whose only consumer is the node
+/// about to be absorbed into it; nullptr otherwise.
+ConvOp* sole_consumer_conv(Graph& graph, NodeId id) {
+  auto* conv = dynamic_cast<ConvOp*>(graph.op_of(id));
+  return conv != nullptr && consumer_count(graph, id) == 1 ? conv : nullptr;
+}
+
+}  // namespace
 
 int fold_batchnorm(Graph& graph) {
-  // Count consumers of every node: a conv feeding anything besides the
-  // BN (e.g. a residual edge) cannot absorb it.
-  std::vector<int> consumers(static_cast<std::size_t>(graph.node_count()),
-                             0);
-  for (NodeId id = 1; id < graph.node_count(); ++id) {
-    for (NodeId in : graph.inputs_of(id)) {
-      ++consumers[static_cast<std::size_t>(in)];
-    }
-  }
-
   int folded = 0;
   for (NodeId id = 1; id < graph.node_count(); ++id) {
     auto* bn = dynamic_cast<BatchNormOp*>(graph.op_of(id));
     if (bn == nullptr) continue;
     const NodeId conv_id = graph.inputs_of(id)[0];
-    auto* conv = dynamic_cast<ConvOp*>(graph.op_of(conv_id));
-    if (conv == nullptr) continue;
-    if (consumers[static_cast<std::size_t>(conv_id)] != 1) continue;
+    ConvOp* conv = sole_consumer_conv(graph, conv_id);
+    // The affine map only commutes into the weights when nothing
+    // follows the conv's sum: no fused ReLU, no residual input.
+    if (conv == nullptr || conv->fused_relu() ||
+        graph.inputs_of(conv_id).size() != 1) {
+      continue;
+    }
 
     // y = s*(conv(x) + b0) + t  ==  conv'(x) + b' with
     // filter'[k] = s[k]*filter[k],  b'[k] = s[k]*b0[k] + t[k].
@@ -44,35 +58,32 @@ int fold_batchnorm(Graph& graph) {
               bias[static_cast<std::size_t>(k)] +
           shift[static_cast<std::size_t>(k)];
     }
-    graph.replace_op(id, std::make_unique<IdentityOp>());
+    graph.absorb(id--, conv_id);  // the next node now has this id
     ++folded;
   }
   return folded;
 }
 
 int fuse_conv_relu(Graph& graph) {
-  std::vector<int> consumers(static_cast<std::size_t>(graph.node_count()),
-                             0);
-  for (NodeId id = 1; id < graph.node_count(); ++id) {
-    for (NodeId in : graph.inputs_of(id)) {
-      ++consumers[static_cast<std::size_t>(in)];
-    }
-  }
-
   int fused = 0;
   for (NodeId id = 1; id < graph.node_count(); ++id) {
-    if (dynamic_cast<ReluOp*>(graph.op_of(id)) == nullptr) continue;
-    // Walk through an Identity left behind by fold_batchnorm.
-    NodeId src = graph.inputs_of(id)[0];
-    while (dynamic_cast<IdentityOp*>(graph.op_of(src)) != nullptr &&
-           consumers[static_cast<std::size_t>(src)] == 1) {
-      src = graph.inputs_of(src)[0];
-    }
-    auto* conv = dynamic_cast<ConvOp*>(graph.op_of(src));
+    Op* op = graph.op_of(id);
+    const std::vector<NodeId>& in = graph.inputs_of(id);
+    const bool relu = dynamic_cast<ReluOp*>(op) != nullptr;
+    if (!relu && dynamic_cast<AddOp*>(op) == nullptr) continue;
+    // An add is absorbed by its later operand, so the other one (the
+    // residual) is already computed when the conv runs.
+    const NodeId conv_id = relu ? in[0] : std::max(in[0], in[1]);
+    ConvOp* conv = sole_consumer_conv(graph, conv_id);
     if (conv == nullptr) continue;
-    if (consumers[static_cast<std::size_t>(src)] != 1) continue;
-    conv->set_fused_relu(true);
-    graph.replace_op(id, std::make_unique<IdentityOp>());
+    if (relu) {
+      conv->set_fused_relu(true);
+    } else if (conv->fused_relu() || graph.inputs_of(conv_id).size() != 1) {
+      // The epilogue adds the residual before the ReLU, and a conv
+      // carries at most one residual.
+      continue;
+    }
+    graph.absorb(id--, conv_id);  // the next node now has this id
     ++fused;
   }
   return fused;

@@ -1,8 +1,12 @@
-// Tests for the store-time epilogue (bias + ReLU fusion) and the
-// conv+ReLU graph fusion pass.
+// Tests for the store-time epilogue (bias + residual + ReLU fusion)
+// and the conv+ReLU / conv+add graph fusion pass.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
+#include <string>
+#include <utility>
 
 #include "baselines/naive_conv.h"
 #include "conv_shapes.h"
@@ -63,6 +67,55 @@ TEST_P(EpilogueSweep, BiasAndReluMatchReference) {
   const Tensor out = conv.run(in, f, epi);
   EXPECT_TRUE(allclose(out, ref))
       << compare_tensors(out, ref).to_string();
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// The unfused chain the residual epilogue replaces: the conv's output
+/// (bias applied) through the graph's own AddOp and ReluOp.
+Tensor add_then_relu(const Tensor& conv_out, const Tensor& residual) {
+  const Tensor sum = AddOp().forward({&conv_out, &residual});
+  return ReluOp().forward({&sum});
+}
+
+TEST_P(EpilogueSweep, ResidualMatchesUnfusedAddReluBitwise) {
+  const ConvParams p = GetParam();
+  Tensor in = make_input_nchw(p.N, p.C, p.H, p.W);
+  Tensor f = make_filter_kcrs(p.K, p.C, p.R, p.S);
+  Tensor res = make_output_nchw(p.N, p.K, p.P(), p.Q());
+  fill_random(in, 94);
+  fill_random(f, 95);
+  fill_random(res, 96);
+  const std::vector<float> bias = make_bias(p.K);
+  const Tensor in_nhwc = nchw_to_nhwc(in);
+  const Tensor res_nhwc = nchw_to_nhwc(res);
+
+  // The policy kernels (ragged W/K tails take the masked edge stores),
+  // about three C tiles so the residual lands on the final partial sum
+  // only, and the generic fallback's scalar store.
+  NdirectOptions c_tiles;
+  c_tiles.force_tiling = {std::max(1, (p.C + 2) / 3), 4, 2};
+  NdirectOptions generic;
+  generic.generic_kernel_only = true;
+  const std::pair<const char*, NdirectOptions> configs[] = {
+      {"default", {}}, {"c_tiles", c_tiles}, {"generic", generic}};
+  for (const auto& [name, opts] : configs) {
+    const NdirectConv conv(p, opts);
+    const Tensor fused = conv.run(in, f, {bias.data(), true, res.data()});
+    EXPECT_TRUE(
+        bitwise_equal(fused, add_then_relu(conv.run(in, f, {bias.data()}),
+                                           res)))
+        << name << " NCHW";
+    const Tensor fused_nhwc =
+        conv.run_nhwc(in_nhwc, f, {bias.data(), true, res_nhwc.data()});
+    EXPECT_TRUE(bitwise_equal(
+        fused_nhwc,
+        add_then_relu(conv.run_nhwc(in_nhwc, f, {bias.data()}), res_nhwc)))
+        << name << " NHWC";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, EpilogueSweep,
@@ -163,9 +216,9 @@ TEST(FuseConvRelu, WalksThroughFoldedBatchNorm) {
   fill_random(in, 92);
   const Tensor before = net->run(in);
   ASSERT_EQ(fold_batchnorm(*net), 53);
-  // conv->bn->relu chains fuse; the post-residual ReLUs (fed by Add) do
-  // not. ResNet-50: stem + 2 per bottleneck = 1 + 2*16 = 33.
-  EXPECT_EQ(fuse_conv_relu(*net), 33);
+  // Every ReLU and every residual add fuses into a conv. ResNet-50:
+  // ReLUs = stem + 3 per bottleneck = 1 + 3*16 = 49, adds = 16.
+  EXPECT_EQ(fuse_conv_relu(*net), 65);
   const Tensor after = net->run(in);
   EXPECT_TRUE(allclose(before, after, 1e-3, 1e-3))
       << compare_tensors(before, after).to_string();
@@ -188,17 +241,154 @@ TEST(FuseConvRelu, FusionIsBackendInvariant) {
   EXPECT_TRUE(allclose(nd, gemm, 1e-3, 1e-3));
 }
 
+const ConvParams kSmall{.N = 1, .C = 4, .H = 8, .W = 8, .K = 4,
+                        .R = 3, .S = 3, .str = 1, .pad = 1};
+
+NodeId add_conv(Graph& g, NodeId from, std::uint64_t seed) {
+  return g.add(std::make_unique<ConvOp>(kSmall, ConvBackend::Ndirect, seed,
+                                        /*bias=*/true),
+               {from});
+}
+
+std::vector<std::string> op_names(Graph& g) {
+  std::vector<std::string> names;
+  for (NodeId id = 1; id < g.node_count(); ++id) {
+    names.emplace_back(g.op_of(id)->name());
+  }
+  return names;
+}
+
+/// Run `build`'s graph with and without fuse_conv_relu on one input;
+/// returns {fused count, fused graph's op names} and checks the two
+/// outputs are bitwise equal.
+std::pair<int, std::vector<std::string>> fuse_and_compare(
+    const std::function<void(Graph&)>& build) {
+  Graph plain(1, 4, 8, 8);
+  Graph fused(1, 4, 8, 8);
+  build(plain);
+  build(fused);
+  const int count = fuse_conv_relu(fused);
+  Tensor in = make_input_nchw(1, 4, 8, 8);
+  fill_random(in, 97);
+  EXPECT_TRUE(bitwise_equal(plain.run(in), fused.run(in)));
+  EXPECT_EQ(fused.output_shape(), plain.output_shape());
+  return {count, op_names(fused)};
+}
+
+using Names = std::vector<std::string>;
+
 TEST(FuseConvRelu, DoesNotFuseResidualRelu) {
-  // A relu fed by an Add must stay a ReLU op.
+  // add(c1, c1): the conv feeds the add twice, so the add is not its
+  // sole consumer and both the add and the ReLU after it stay.
+  const auto [count, names] = fuse_and_compare([](Graph& g) {
+    const NodeId c1 = add_conv(g, 0, 1);
+    const NodeId add = g.add(std::make_unique<AddOp>(), {c1, c1});
+    g.add(std::make_unique<ReluOp>(), {add});
+  });
+  EXPECT_EQ(count, 0);
+  EXPECT_EQ(names, (Names{"conv", "add", "relu"}));
+}
+
+TEST(FuseConvRelu, AbsorbsResidualAddAndItsRelu) {
+  // conv -> add(conv, input) -> relu collapses into one conv that reads
+  // the input twice: as its operand and as its residual.
+  const auto [count, names] = fuse_and_compare([](Graph& g) {
+    const NodeId c1 = add_conv(g, 0, 1);
+    const NodeId add = g.add(std::make_unique<AddOp>(), {c1, 0});
+    g.add(std::make_unique<ReluOp>(), {add});
+  });
+  EXPECT_EQ(count, 2);
+  EXPECT_EQ(names, (Names{"conv"}));
+}
+
+TEST(FuseConvRelu, LaterOperandAbsorbsTheAdd) {
+  // Projection-block shape: add(c1, c2) with both convs sole-consumed;
+  // only c2, the later node, may take the add (c1 is then its
+  // residual, already computed when c2 runs).
   Graph g(1, 4, 8, 8);
-  const ConvParams p{.N = 1, .C = 4, .H = 8, .W = 8, .K = 4,
-                     .R = 3, .S = 3, .str = 1, .pad = 1};
-  NodeId c1 = g.add(std::make_unique<ConvOp>(p, ConvBackend::Ndirect, 1,
-                                             false),
-                    {0});
-  NodeId add = g.add(std::make_unique<AddOp>(), {c1, c1});
-  g.add(std::make_unique<ReluOp>(), {add});
-  EXPECT_EQ(fuse_conv_relu(g), 0);
+  const NodeId c1 = add_conv(g, 0, 1);
+  const NodeId c2 = add_conv(g, 0, 2);
+  g.add(std::make_unique<AddOp>(), {c1, c2});
+  EXPECT_EQ(fuse_conv_relu(g), 1);
+  EXPECT_EQ(op_names(g), (Names{"conv", "conv"}));
+  EXPECT_EQ(g.inputs_of(c2), (std::vector<NodeId>{0, c1}));
+  EXPECT_EQ(g.output(), c2);
+}
+
+TEST(FuseConvRelu, ConvWithFusedReluKeepsItsAdd) {
+  // relu(conv) + input: the ReLU must run before the add, which the
+  // epilogue (residual first, then ReLU) cannot express.
+  const auto [count, names] = fuse_and_compare([](Graph& g) {
+    const NodeId c1 = add_conv(g, 0, 1);
+    const NodeId r = g.add(std::make_unique<ReluOp>(), {c1});
+    g.add(std::make_unique<AddOp>(), {r, 0});
+  });
+  EXPECT_EQ(count, 1);
+  EXPECT_EQ(names, (Names{"conv", "add"}));
+}
+
+TEST(FuseConvRelu, ConvWithTwoConsumersFusesNothing) {
+  const auto [count, names] = fuse_and_compare([](Graph& g) {
+    const NodeId c1 = add_conv(g, 0, 1);
+    const NodeId add = g.add(std::make_unique<AddOp>(), {c1, 0});
+    const NodeId r = g.add(std::make_unique<ReluOp>(), {c1});
+    g.add(std::make_unique<AddOp>(), {add, r});
+  });
+  EXPECT_EQ(count, 0);
+  EXPECT_EQ(names, (Names{"conv", "add", "relu", "add"}));
+}
+
+TEST(FuseConvRelu, AbsorbedOutputNodeStillReturnsItsTensor) {
+  // The output add is absorbed by a conv that is not the last node (a
+  // dead maxpool follows it): run() must return the conv's tensor.
+  const auto [count, names] = fuse_and_compare([](Graph& g) {
+    const NodeId c1 = add_conv(g, 0, 1);
+    g.add(std::make_unique<MaxPoolOp>(2, 2, 0), {0});
+    g.add(std::make_unique<AddOp>(), {c1, 0});
+  });
+  EXPECT_EQ(count, 1);
+  EXPECT_EQ(names, (Names{"conv", "maxpool"}));
+}
+
+// ----------------------------------------------------------------------
+// Whole-network fusion is bitwise: fold_batchnorm rescales the weights
+// (it changes the arithmetic), so both graphs fold; only fuse_conv_relu
+// differs between them.
+// ----------------------------------------------------------------------
+
+TEST(FuseConvRelu, ResNet50FusionIsBitwiseOnEveryBackend) {
+  ModelOptions opts;
+  opts.channel_divisor = 16;
+  opts.image_size = 32;
+  for (const int batch : {1, 2}) {
+    auto plain = build_resnet50(batch, opts);
+    auto fused = build_resnet50(batch, opts);
+    fold_batchnorm(*plain);
+    fold_batchnorm(*fused);
+    ASSERT_EQ(fuse_conv_relu(*fused), 65);
+    // 53 convs + maxpool, gavgpool, fc, softmax: nothing else is left.
+    EXPECT_EQ(fused->node_count(), 1 + 53 + 4);
+    for (const std::string& name : op_names(*fused)) {
+      EXPECT_TRUE(name != "add" && name != "relu" && name != "batchnorm")
+          << name;
+    }
+    Tensor in = make_input_nchw(batch, 3, 32, 32);
+    fill_random(in, 98);
+    for (const ConvBackend b :
+         {ConvBackend::Ndirect, ConvBackend::Im2colGemm}) {
+      for (Graph* g : {plain.get(), fused.get()}) {
+        for (ConvOp* c : g->conv_ops()) c->set_backend(b);
+      }
+      EXPECT_TRUE(bitwise_equal(plain->run(in), fused->run(in)))
+          << conv_backend_name(b) << " batch " << batch;
+    }
+    for (Graph* g : {plain.get(), fused.get()}) {
+      for (ConvOp* c : g->conv_ops()) c->set_backend(ConvBackend::Ndirect);
+      quantize_convs(*g);
+    }
+    EXPECT_TRUE(bitwise_equal(plain->run(in), fused->run(in)))
+        << "int8 batch " << batch;
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "baselines/naive_conv.h"
 #include "core/ndirect.h"
 #include "nn/graph.h"
+#include "nn/optimize.h"
 #include "tensor/compare.h"
 #include "tensor/rng.h"
 #include "tensor/transforms.h"
@@ -100,7 +101,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomShapeFuzz, ::testing::Range(0, 40));
 /// conv, lifted to whole graphs. Each seed checks:
 ///   1. the default concurrent executor on a small shared pool,
 ///   2. repeated runs (schedule nondeterminism must not surface),
-///   3. an OVERSUBSCRIBED pool (threads > cores).
+///   3. an OVERSUBSCRIBED pool (threads > cores),
+///   4. a second build of the seed after fuse_conv_relu (the generator
+///      emits no BatchNorm, so fold_batchnorm has nothing to do): fusing
+///      relu / residual adds into the convs' epilogues and erasing the
+///      absorbed nodes must not change a bit.
 class DagFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(DagFuzz, ConcurrentExecutionBitwiseIdenticalToSequential) {
@@ -137,6 +142,14 @@ TEST_P(DagFuzz, ConcurrentExecutionBitwiseIdenticalToSequential) {
   ASSERT_EQ(wide_out.size(), expected.size());
   ASSERT_EQ(std::memcmp(wide_out.data(), expected.data(), bytes), 0)
       << "seed " << seed << " oversubscribed";
+
+  auto fused = testgen::build_random_dag(seed, kBatches[seed % 3]);
+  fuse_conv_relu(*fused);
+  fused->set_conv_pool(&pool);
+  const Tensor fused_out = fused->run(input, {});
+  ASSERT_EQ(fused_out.size(), expected.size());
+  ASSERT_EQ(std::memcmp(fused_out.data(), expected.data(), bytes), 0)
+      << "seed " << seed << " after fuse_conv_relu";
 }
 
 INSTANTIATE_TEST_SUITE_P(Topologies, DagFuzz, ::testing::Range(0, 110));
@@ -150,7 +163,9 @@ INSTANTIATE_TEST_SUITE_P(Topologies, DagFuzz, ::testing::Range(0, 110));
 /// bitwise the same output as the batch-1 build on that image alone.
 /// Holds because conv weights derive from (seed, K, C, R, S) — never N —
 /// and the tile scheduler keeps every output element's reduction inside
-/// one tile claim regardless of N (DESIGN.md §10).
+/// one tile claim regardless of N (DESIGN.md §10). The batched graph
+/// also runs once more after fuse_conv_relu, which must reproduce it
+/// bitwise.
 class DagBatchInvariance : public ::testing::TestWithParam<int> {};
 
 TEST_P(DagBatchInvariance, BatchedSlicesMatchSingleImageRuns) {
@@ -176,6 +191,14 @@ TEST_P(DagBatchInvariance, BatchedSlicesMatchSingleImageRuns) {
 
   const Tensor out_k = gk->run(batched);
   const std::size_t per_out = out_k.size() / static_cast<std::size_t>(k);
+  auto gk_fused = testgen::build_random_dag(seed, k);
+  fuse_conv_relu(*gk_fused);
+  const Tensor fused_k = gk_fused->run(batched);
+  ASSERT_EQ(fused_k.size(), out_k.size());
+  ASSERT_EQ(std::memcmp(fused_k.data(), out_k.data(),
+                        out_k.size() * sizeof(float)),
+            0)
+      << "seed " << seed << " after fuse_conv_relu";
   for (int i = 0; i < k; ++i) {
     const Tensor out_1 = g1->run(singles[static_cast<std::size_t>(i)]);
     ASSERT_EQ(out_1.size(), per_out);

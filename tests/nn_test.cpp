@@ -130,6 +130,36 @@ TEST(Ops, ShapeMismatchesThrow) {
                std::invalid_argument);
   EXPECT_THROW(g.add(std::make_unique<AddOp>(), {0}),
                std::invalid_argument);  // wrong arity
+  // A conv's optional second input, the residual, must have the
+  // conv's output shape.
+  const ConvParams p{.N = 1, .C = 3, .H = 8, .W = 8, .K = 8,
+                     .R = 3, .S = 3, .str = 1, .pad = 1};
+  EXPECT_THROW(g.add(std::make_unique<ConvOp>(p, ConvBackend::Naive, 1,
+                                              false),
+                     {0, 0}),
+               std::invalid_argument);
+}
+
+TEST(Graph, AbsorbRejectsRewritesThatBreakTheGraph) {
+  Graph g(1, 4, 8, 8);
+  const ConvParams p{.N = 1, .C = 4, .H = 8, .W = 8, .K = 4,
+                     .R = 3, .S = 3, .str = 1, .pad = 1};
+  const NodeId c1 = g.add(
+      std::make_unique<ConvOp>(p, ConvBackend::Naive, 1, false), {0});
+  const NodeId c2 = g.add(
+      std::make_unique<ConvOp>(p, ConvBackend::Naive, 2, false), {0});
+  const NodeId add = g.add(std::make_unique<AddOp>(), {c1, c2});
+  const NodeId pool =
+      g.add(std::make_unique<MaxPoolOp>(2, 2, 0), {add});
+  EXPECT_THROW(g.absorb(add, 0), std::invalid_argument);   // graph input
+  EXPECT_THROW(g.absorb(pool, c1), std::invalid_argument);  // not an input
+  // c1 would read c2, which runs after it.
+  EXPECT_THROW(g.absorb(add, c1), std::invalid_argument);
+  // The pool's output shape is not the add's.
+  EXPECT_THROW(g.absorb(pool, add), std::invalid_argument);
+  EXPECT_EQ(g.node_count(), 5);
+  EXPECT_EQ(g.inputs_of(c1), (std::vector<NodeId>{0}));
+  EXPECT_EQ(g.output(), pool);
 }
 
 // ----------------------------------------------------------------------
@@ -284,16 +314,23 @@ TEST(FoldBatchNorm, PreservesResNetOutputs) {
 }
 
 TEST(FoldBatchNorm, FoldingSpeedsUpOrMatchesNodeWork) {
-  // After folding, a profiled run spends zero time in batchnorm.
+  // Folding erases every BN node (nothing is left in its place), so a
+  // profiled run spends zero time in batchnorm.
   ModelOptions opts;
   opts.channel_divisor = 16;
   opts.image_size = 32;
   auto net = build_resnet50(1, opts);
-  fold_batchnorm(*net);
+  const int nodes = net->node_count();
+  ASSERT_EQ(fold_batchnorm(*net), 53);
+  EXPECT_EQ(net->node_count(), nodes - 53);
+  for (NodeId id = 1; id < net->node_count(); ++id) {
+    EXPECT_STRNE(net->op_of(id)->name(), "batchnorm");
+    EXPECT_STRNE(net->op_of(id)->name(), "identity");
+  }
   PhaseTimer timer;
   (void)net->run_profiled(random_input(1, 3, 32, 32, 13), timer);
   EXPECT_EQ(timer.seconds("batchnorm"), 0.0);
-  EXPECT_GT(timer.seconds("identity"), 0.0);
+  EXPECT_GT(timer.seconds("conv"), 0.0);
 }
 
 TEST(FoldBatchNorm, VggHasNothingToFold) {

@@ -776,6 +776,69 @@ TEST(Int8Conv, FusedBiasAndReluMatchUnfused) {
   }
 }
 
+TEST(Int8Conv, FusedResidualMatchesDequantizeThenAddBitwise) {
+  // Ragged W (Q = 9) and K (K = 6) tails, a padded 3x3 and a flattened
+  // 1x1: the residual must land on exactly the dequantized element.
+  for (const ConvParams& p :
+       {ConvParams{.N = 2, .C = 5, .H = 7, .W = 9, .K = 6, .R = 3, .S = 3,
+                   .str = 1, .pad = 1},
+        ConvParams{.N = 1, .C = 8, .H = 5, .W = 5, .K = 13, .R = 1, .S = 1,
+                   .str = 1, .pad = 0}}) {
+    const auto in = random_u8(static_cast<std::size_t>(p.input_elems()), 73);
+    const auto flt =
+        random_s8(static_cast<std::size_t>(p.filter_elems()), 74);
+    const auto dq = random_f32(static_cast<std::size_t>(p.K), 75);
+    const auto bias = random_f32(static_cast<std::size_t>(p.K), 76);
+    const auto res =
+        random_f32(static_cast<std::size_t>(p.output_elems()), 77);
+    const Int8Conv conv(p);
+    const auto run = [&](const float* residual, bool relu) {
+      std::vector<float> out(static_cast<std::size_t>(p.output_elems()));
+      Int8Epilogue ep;
+      ep.dequant_scale = dq.data();
+      ep.bias = bias.data();
+      ep.residual = residual;
+      ep.relu = relu;
+      Int8Output dst;
+      dst.f32 = out.data();
+      conv.run(in.data(), 131, flt.data(), ep, dst);
+      return out;
+    };
+    std::vector<float> want = run(nullptr, false);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      want[i] = std::max(want[i] + res[i], 0.0f);
+    }
+    const std::vector<float> got = run(res.data(), true);
+    ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                          want.size() * sizeof(float)),
+              0)
+        << p;
+  }
+}
+
+TEST(Int8Conv, ResidualNeedsTheF32Mode) {
+  const ConvParams p{.N = 1, .C = 4, .H = 4, .W = 4, .K = 4, .R = 1,
+                     .S = 1, .str = 1, .pad = 0};
+  const auto in = random_u8(static_cast<std::size_t>(p.input_elems()), 1);
+  const auto flt = random_s8(static_cast<std::size_t>(p.filter_elems()), 2);
+  const std::vector<float> scale(static_cast<std::size_t>(p.K), 0.5f);
+  const std::vector<float> res(static_cast<std::size_t>(p.output_elems()));
+  const Int8Conv conv(p);
+  Int8Epilogue ep;
+  ep.requant_scale = scale.data();
+  ep.residual = res.data();
+  std::vector<std::int8_t> s8(res.size());
+  std::vector<std::int32_t> i32(res.size());
+  Int8Output to_s8;
+  to_s8.s8 = s8.data();
+  Int8Output to_i32;
+  to_i32.i32 = i32.data();
+  EXPECT_THROW(conv.run(in.data(), 0, flt.data(), ep, to_s8),
+               std::invalid_argument);
+  EXPECT_THROW(conv.run(in.data(), 0, flt.data(), ep, to_i32),
+               std::invalid_argument);
+}
+
 // ----------------------------------------------------------------------
 // Kernel registry, fallback accounting, Table 4 coverage
 // ----------------------------------------------------------------------
